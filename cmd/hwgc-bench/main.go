@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -37,7 +36,7 @@ import (
 	"hwgc/internal/cluster"
 	"hwgc/internal/experiments"
 	"hwgc/internal/ledger"
-	"hwgc/internal/report"
+	"hwgc/internal/runflags"
 	"hwgc/internal/telemetry"
 )
 
@@ -56,13 +55,7 @@ func main() {
 	snapshots := flag.Bool("snapshot", true, "instantiate cells from copy-on-write heap-image snapshots")
 	useCache := flag.Bool("cache", false, "serve repeated cells from the content-addressed result cache")
 	cacheDir := flag.String("cache-dir", "", "persist cache entries under this directory (implies -cache)")
-	metricsOut := flag.String("metrics-out", "", "write sampled metric time series (JSONL) to this file")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file (Perfetto-compatible)")
-	sampleEvery := flag.Uint64("sample-every", 1024, "gauge sampling interval in cycles")
-	ledgerDir := flag.String("ledger", "", "append a run manifest (cell keys, metrics, timings) under this directory")
-	reportOut := flag.String("report", "", "write a self-contained HTML run report to this file (implies -timeseries)")
-	recordSeries := flag.Bool("timeseries", false, "record bounded per-unit time series into the run manifest")
-	seriesPoints := flag.Int("timeseries-points", 0, "max retained points per recorded series (0 = default 512)")
+	outFlags := runflags.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -99,29 +92,6 @@ func main() {
 		runRE = re
 	}
 
-	// The default hub instruments every system the experiment runners build
-	// internally; samples and events accumulate across all experiments. The
-	// synchronized hub forks a private child per simulation, so the fleet
-	// keeps its full parallel width.
-	record := *recordSeries || *reportOut != ""
-	var tel *hwgc.Telemetry
-	if *metricsOut != "" || *traceOut != "" || record {
-		tel = hwgc.NewSyncTelemetry(*sampleEvery)
-		if *traceOut != "" {
-			tel.EnableTrace()
-		}
-		if record {
-			tel.EnableRecording(*seriesPoints)
-			if *metricsOut == "" {
-				// Recording alone is fixed-memory; the unbounded row log
-				// only runs when the JSONL dump asked for it.
-				tel.DisableRowCapture()
-			}
-		}
-		hwgc.SetDefaultTelemetry(tel)
-		defer hwgc.SetDefaultTelemetry(nil)
-	}
-
 	var runners []hwgc.ExperimentRunner
 	for _, r := range hwgc.Experiments() {
 		if len(selected) > 0 && !selected[r.ID] {
@@ -140,17 +110,24 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The hub rides in the options into every system the experiment
+	// runners build internally (loopback cluster workers included); each
+	// forks a private child, so the fleet keeps its full parallel width.
+	out, err := outFlags.Open()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	opts.Tel = out.Tel
+
 	var cache *hwgc.ResultCache
 	if *useCache || *cacheDir != "" {
-		var err error
 		cache, err = hwgc.NewResultCache(0, *cacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if tel != nil {
-			cache.AttachTelemetry(tel)
-		}
+		cache.AttachTelemetry(out.Tel)
 		if *clusterWorkers <= 0 {
 			// Cluster mode wires the cache into the coordinator and the
 			// workers instead; wrapping here too would double-check it.
@@ -158,17 +135,7 @@ func main() {
 		}
 	}
 
-	var store *ledger.Store
-	if *ledgerDir != "" {
-		var err error
-		store, err = ledger.Open(*ledgerDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	// A manifest is built for the ledger and/or the HTML report.
-	wantManifest := store != nil || *reportOut != ""
+	wantManifest := out.WantManifest()
 	// Per-experiment wall time, recorded by a timing wrapper around each
 	// (possibly cache-backed) runner. The map is written from fleet workers.
 	var timesMu sync.Mutex
@@ -291,25 +258,9 @@ func main() {
 			}
 			m.Experiments = append(m.Experiments, rec)
 		}
-		m.SnapshotTelemetry(tel)
-		m.SnapshotTimeseries(tel)
-		if store != nil {
-			path, err := store.Append(m)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed++
-			} else {
-				fmt.Printf("wrote run manifest to %s\n", path)
-			}
-		}
-		if *reportOut != "" {
-			data := report.Render(m, "")
-			if err := os.WriteFile(*reportOut, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed++
-			} else {
-				fmt.Printf("wrote HTML report to %s (%d bytes)\n", *reportOut, len(data))
-			}
+		if err := out.WriteManifest(os.Stdout, m); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			failed++
 		}
 	}
 
@@ -322,41 +273,11 @@ func main() {
 		st := hwgc.SnapshotStoreStats()
 		fmt.Printf("snapshot store: %d images built, %d cells cloned\n", st.Misses, st.Hits)
 	}
-	if tel != nil {
-		fmt.Println("telemetry summary:")
-		if err := tel.WriteSummary(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed++
-		}
-		if *metricsOut != "" {
-			writeFile(*metricsOut, tel.WriteSamplesJSONL)
-			fmt.Printf("wrote %d metric samples to %s\n", tel.SampleCount(), *metricsOut)
-		}
-		if *traceOut != "" {
-			writeFile(*traceOut, tel.WriteTraceChrome)
-			fmt.Printf("wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n",
-				tel.TraceEventCount(), *traceOut)
-		}
+	if err := out.WriteTelemetry(os.Stdout, "telemetry summary:"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		failed++
 	}
 	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// writeFile streams write into path, exiting on error.
-func writeFile(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }

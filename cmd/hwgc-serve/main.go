@@ -72,7 +72,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist cached results under this directory")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long in-flight jobs may keep running after SIGINT/SIGTERM before being cancelled")
-	sampleEvery := flag.Uint64("sample-every", 1024, "telemetry gauge sampling interval in cycles")
 	ledgerDir := flag.String("ledger", "", "append one run manifest per finished job under this directory")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	clusterOn := flag.Bool("cluster", false,
@@ -109,11 +108,9 @@ func main() {
 		}
 	}
 
-	// A synchronized hub lets every concurrently running simulation attach
-	// (each forks a private child), so jobs keep the fleet's full parallel
-	// width and /v1/metrics merges service, cache, and simulation metrics.
-	hub := telemetry.NewSyncHub(*sampleEvery)
-	telemetry.SetDefault(hub)
+	// The hub carries service, cache, and cluster metrics for /v1/metrics
+	// and /metrics. Simulations are not instrumented: nothing would read it.
+	hub := telemetry.NewHub(0)
 
 	svcCfg := service.Config{
 		Workers:        *workers,

@@ -25,7 +25,7 @@ import (
 	"hwgc"
 	"hwgc/internal/core"
 	"hwgc/internal/ledger"
-	"hwgc/internal/report"
+	"hwgc/internal/runflags"
 	"hwgc/internal/workload"
 )
 
@@ -45,13 +45,7 @@ func main() {
 	mbc := flag.Int("mbc", 0, "mark-bit cache entries")
 	shared := flag.Bool("shared", false, "shared-cache traversal unit design")
 	validate := flag.Bool("validate", false, "cross-check marks/sweeps against ground truth")
-	metricsOut := flag.String("metrics-out", "", "write sampled metric time series (JSONL) to this file")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file (Perfetto-compatible)")
-	sampleEvery := flag.Uint64("sample-every", 1024, "gauge sampling interval in cycles")
-	ledgerDir := flag.String("ledger", "", "append a run manifest (per-benchmark timings) under this directory")
-	reportOut := flag.String("report", "", "write a self-contained HTML run report to this file (implies -timeseries)")
-	recordSeries := flag.Bool("timeseries", false, "record bounded per-unit time series into the run manifest")
-	seriesPoints := flag.Int("timeseries-points", 0, "max retained points per recorded series (0 = default 512)")
+	outFlags := runflags.Register(flag.CommandLine)
 	flag.Parse()
 
 	var specsToRun []workload.Spec
@@ -103,23 +97,15 @@ func main() {
 		kind = core.SWCollector
 	}
 
-	// The synchronized hub forks a private child per benchmark run, so
+	// Every benchmark run forks a private child of the hub (runOne), so
 	// telemetry output composes with a parallel -run sweep.
-	record := *recordSeries || *reportOut != ""
-	var tel *hwgc.Telemetry
-	width := *parallel
-	if *metricsOut != "" || *traceOut != "" || record {
-		tel = hwgc.NewSyncTelemetry(*sampleEvery)
-		if *traceOut != "" {
-			tel.EnableTrace()
-		}
-		if record {
-			tel.EnableRecording(*seriesPoints)
-			if *metricsOut == "" {
-				tel.DisableRowCapture()
-			}
-		}
+	out, err := outFlags.Open()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	tel := out.Tel
+	width := *parallel
 
 	// Per-benchmark outcomes, kept for the run ledger.
 	ress := make([]core.AppResult, len(specsToRun))
@@ -172,40 +158,16 @@ func main() {
 		}
 	}
 
-	if *ledgerDir != "" || *reportOut != "" {
-		m := buildSimManifest(*collector, *gcs, *seed, specsToRun, ress, times, errsAll, tel)
-		if *ledgerDir != "" {
-			if err := appendSimManifest(*ledgerDir, m); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed++
-			}
-		}
-		if *reportOut != "" {
-			data := report.Render(m, "")
-			if err := os.WriteFile(*reportOut, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				failed++
-			} else {
-				fmt.Printf("wrote HTML report to %s (%d bytes)\n", *reportOut, len(data))
-			}
+	if out.WantManifest() {
+		m := buildSimManifest(*collector, *gcs, *seed, specsToRun, ress, times, errsAll)
+		if err := out.WriteManifest(os.Stdout, m); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			failed++
 		}
 	}
-
-	if tel != nil {
-		fmt.Println("\ntelemetry summary:")
-		if err := tel.WriteSummary(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *metricsOut != "" {
-			writeFile(*metricsOut, tel.WriteSamplesJSONL)
-			fmt.Printf("wrote %d metric samples to %s\n", tel.SampleCount(), *metricsOut)
-		}
-		if *traceOut != "" {
-			writeFile(*traceOut, tel.WriteTraceChrome)
-			fmt.Printf("wrote %d trace events to %s (open in Perfetto / chrome://tracing)\n",
-				tel.TraceEventCount(), *traceOut)
-		}
+	if err := out.WriteTelemetry(os.Stdout, "\ntelemetry summary:"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		failed++
 	}
 	if failed > 0 {
 		os.Exit(1)
@@ -217,7 +179,7 @@ func main() {
 // the GC share as metrics.
 func buildSimManifest(collector string, gcs int, seed uint64,
 	specs []workload.Spec, ress []core.AppResult, times []float64,
-	errs []error, tel *hwgc.Telemetry) *ledger.Manifest {
+	errs []error) *ledger.Manifest {
 	m := ledger.NewManifest("hwgc-sim", ledger.Scale{GCs: gcs, Seed: seed})
 	for i, spec := range specs {
 		rec := ledger.Experiment{
@@ -237,23 +199,7 @@ func buildSimManifest(collector string, gcs int, seed uint64,
 		}
 		m.Experiments = append(m.Experiments, rec)
 	}
-	m.SnapshotTelemetry(tel)
-	m.SnapshotTimeseries(tel)
 	return m
-}
-
-// appendSimManifest appends the manifest to the run ledger.
-func appendSimManifest(dir string, m *ledger.Manifest) error {
-	store, err := ledger.Open(dir)
-	if err != nil {
-		return err
-	}
-	path, err := store.Append(m)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote run manifest to %s\n", path)
-	return nil
 }
 
 // runOne executes one benchmark/collector simulation and renders the full
@@ -264,8 +210,8 @@ func runOne(w io.Writer, cfg hwgc.Config, spec workload.Spec, kind core.Collecto
 	if err != nil {
 		return core.AppResult{}, err
 	}
-	// ForRun forks a private child on the synchronized hub so parallel
-	// sweeps never share mutable telemetry state (plain hubs pass through).
+	// ForRun forks a private child hub so parallel sweeps never share
+	// mutable telemetry state.
 	runner.AttachTelemetry(tel.ForRun(spec.Name))
 	runner.Validate = validate
 	fmt.Fprintf(w, "%s on %s, %d collections (memory=%s)\n", kind, spec.Name, gcs, memory)
@@ -316,22 +262,4 @@ func runOne(w io.Writer, cfg hwgc.Config, spec workload.Spec, kind core.Collecto
 	}
 	fmt.Fprintln(w)
 	return runner.Res, nil
-}
-
-// writeFile streams write into path, exiting on error.
-func writeFile(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -69,10 +69,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// A synchronized hub keeps concurrent leased cells at full width (each
-	// forks a private child) exactly as in hwgc-serve.
-	telemetry.SetDefault(telemetry.NewSyncHub(0))
-
 	w, err := cluster.NewWorker(cluster.WorkerConfig{
 		Name:      *name,
 		Client:    &cluster.HTTPClient{Base: *coordinator},

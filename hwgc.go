@@ -73,26 +73,18 @@ func Benchmarks() []Spec { return workload.DaCapo() }
 // Benchmark returns the named benchmark spec.
 func Benchmark(name string) (Spec, bool) { return workload.ByName(name) }
 
-// Telemetry is a metrics registry + cycle sampler + event tracer bundle
-// that can be attached to a simulated system (see docs/OBSERVABILITY.md).
+// Telemetry is a metrics registry + time-series recorder + event tracer
+// bundle that can be attached to a simulated system (see
+// docs/OBSERVABILITY.md). To instrument an experiment fleet, set it as
+// Options.Tel (or Config.Tel): every system the run builds forks a private
+// child hub from it, and the hub's WriteSummary / RecordedSeries /
+// WriteSamplesJSONL / WriteTraceChrome methods merge them back together.
 type Telemetry = telemetry.Hub
 
-// NewTelemetry returns a hub whose sampler snapshots gauges every
-// sampleEvery cycles (0 picks the default interval). Call EnableTrace on
-// the result to also record structured events.
+// NewTelemetry returns a hub whose probe ticks every sampleEvery cycles (0
+// picks the default interval). Call EnableRecording on the result to record
+// time series and EnableTrace to record structured events.
 func NewTelemetry(sampleEvery uint64) *Telemetry { return telemetry.NewHub(sampleEvery) }
-
-// NewSyncTelemetry returns a synchronized hub: safe to install as the
-// process default while simulations run concurrently, so instrumented
-// fleet runs keep their full parallel width. Each simulation forks a
-// private child hub internally; the hub's WriteSummary /
-// WriteSamplesJSONL / WriteTraceChrome methods merge them back together.
-func NewSyncTelemetry(sampleEvery uint64) *Telemetry { return telemetry.NewSyncHub(sampleEvery) }
-
-// SetDefaultTelemetry installs tel as the process-wide default hub: every
-// collector system built afterwards (including the ones experiment runners
-// build internally) attaches to it. Pass nil to clear.
-func SetDefaultTelemetry(tel *Telemetry) { telemetry.SetDefault(tel) }
 
 // Run executes a benchmark with the chosen collector for gcs collections.
 func Run(cfg Config, spec Spec, kind CollectorKind, gcs int, seed uint64) (AppResult, error) {
@@ -100,8 +92,9 @@ func Run(cfg Config, spec Spec, kind CollectorKind, gcs int, seed uint64) (AppRe
 }
 
 // RunInstrumented is Run with a telemetry hub attached to the collector
-// system: counters, sampled time series, and (when EnableTrace was called)
-// trace events accumulate in tel across all gcs collections.
+// system: counters, recorded time series (when EnableRecording was called),
+// and trace events (when EnableTrace was called) accumulate in tel across
+// all gcs collections.
 func RunInstrumented(cfg Config, spec Spec, kind CollectorKind, gcs int, seed uint64, tel *Telemetry) (AppResult, error) {
 	r, err := core.NewAppRunner(cfg, spec, kind, seed)
 	if err != nil {
@@ -138,10 +131,8 @@ type ExperimentResult = experiments.Result
 
 // RunFleet executes runners with up to parallel workers (0 means
 // GOMAXPROCS) and returns one result per runner in the given order.
-// Reports are byte-identical to a serial run at any width; see
-// docs/PERFORMANCE.md for the determinism contract. The fan-out degrades
-// to serial only while a plain (non-synchronized) default telemetry hub is
-// installed; NewSyncTelemetry hubs keep the full width.
+// Reports are byte-identical to a serial run at any width, with or without
+// o.Tel; see docs/PERFORMANCE.md for the determinism contract.
 func RunFleet(runners []experiments.Runner, o Options, parallel int) []ExperimentResult {
 	return experiments.RunFleet(runners, o, parallel)
 }

@@ -8,11 +8,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"hwgc/internal/experiments"
 	"hwgc/internal/resultcache"
+	"hwgc/internal/telemetry"
 )
 
 func TestLoopbackPoolRunsJobs(t *testing.T) {
@@ -40,6 +42,70 @@ func TestLoopbackPoolRunsJobs(t *testing.T) {
 		if r.Report.ID != r.Runner.ID {
 			t.Fatalf("report ID %q for runner %q", r.Report.ID, r.Runner.ID)
 		}
+	}
+}
+
+// TestLoopbackFleetTelemetry: Options.Tel reaches cells executed by
+// in-process loopback workers — a loopback lease hands the submitted
+// options over by value, while the JSON wire drops the hub — so a 2-worker
+// cluster fleet's hub snapshot sums equal a serial fleet's.
+func TestLoopbackFleetTelemetry(t *testing.T) {
+	ids := []string{"table1", "fig22", "abl-layout"}
+	runners := make([]experiments.Runner, 0, len(ids))
+	for _, id := range ids {
+		r, ok := experiments.ByID(id)
+		if !ok {
+			t.Fatalf("unknown experiment %q", id)
+		}
+		runners = append(runners, r)
+	}
+	o := experiments.QuickOptions()
+	o.Shrink = 8
+	o.Parallel = 1
+	summarize := func(h *telemetry.Hub, reports []experiments.Result) (string, string) {
+		var rep, sum strings.Builder
+		for _, r := range reports {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.Runner.ID, r.Err)
+			}
+			rep.WriteString(r.Report.String())
+		}
+		if err := h.Snapshot().WriteSummary(&sum); err != nil {
+			t.Fatal(err)
+		}
+		return rep.String(), sum.String()
+	}
+
+	serialOpts := o
+	serialOpts.Tel = telemetry.NewHub(256)
+	serialRep, serialSum := summarize(serialOpts.Tel, experiments.RunFleet(runners, serialOpts, 1))
+	if !strings.Contains(serialSum, "heap.allocations") {
+		t.Fatalf("serial summary looks unpopulated:\n%s", serialSum)
+	}
+
+	c := NewCoordinator(Config{Runners: runners, LeaseTTL: time.Hour})
+	defer c.Close()
+	pool, err := StartLoopbackWorkers(c, 2, WorkerConfig{Runners: runners, PollEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterOpts := o
+	clusterOpts.Tel = telemetry.NewHub(256)
+	fleet := RunFleet(context.Background(), c, runners, clusterOpts)
+	if err := pool.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	results := make([]experiments.Result, len(fleet))
+	for i, r := range fleet {
+		results[i] = r.Result
+	}
+	clusterRep, clusterSum := summarize(clusterOpts.Tel, results)
+	if clusterRep != serialRep {
+		t.Errorf("cluster reports differ from serial with Options.Tel set")
+	}
+	if clusterSum != serialSum {
+		t.Errorf("cluster telemetry snapshot differs from serial:\n--- serial ---\n%s--- cluster ---\n%s",
+			serialSum, clusterSum)
 	}
 }
 

@@ -55,6 +55,13 @@ type Config struct {
 	// affects simulated timing or results, so it is excluded from cache
 	// keys and serialized forms.
 	Beat *telemetry.Beat `json:"-" cachekey:"-"`
+
+	// Tel, when non-nil, instruments every runner built with this config
+	// (NewAppRunner): each forks a private child hub via Tel.ForRun, so
+	// concurrent runners never share mutable telemetry state. Like Beat it
+	// never affects results, so it is excluded from cache keys and
+	// serialized forms.
+	Tel *telemetry.Hub `json:"-" cachekey:"-"`
 }
 
 // DefaultConfig returns the paper's baseline configuration (Table I plus
@@ -106,7 +113,7 @@ type HW struct {
 
 // AttachTelemetry wires a telemetry hub through every timed component
 // (interconnect, memory, traversal unit, reclamation unit, heap) and hooks
-// the hub's sampler onto the engine's cycle probe. The probe fires between
+// the hub's Sample onto the engine's cycle probe. The probe fires between
 // events and never schedules anything, so attaching telemetry does not
 // perturb measured cycle counts.
 func (hw *HW) AttachTelemetry(h *telemetry.Hub) {
@@ -124,27 +131,25 @@ func (hw *HW) AttachTelemetry(h *telemetry.Hub) {
 	hw.Trace.AttachTelemetry(h)
 	hw.Sweep.AttachTelemetry(h)
 	hw.Sys.Heap.AttachTelemetry(h)
-	hw.hookProbe(h.Sampler)
+	hw.hookProbe(h)
 }
 
 // hookProbe installs the engine's single cycle probe serving both
-// consumers that need one: the sampler (gauge time series) and the
-// config's progress heartbeat. The probe fires between events and never
-// schedules anything, so neither consumer perturbs measured cycle counts.
-func (hw *HW) hookProbe(s *telemetry.Sampler) {
+// consumers that need one: the hub (time series) and the config's progress
+// heartbeat. The probe fires between events and never schedules anything,
+// so neither consumer perturbs measured cycle counts.
+func (hw *HW) hookProbe(h *telemetry.Hub) {
 	beat := hw.Cfg.Beat
-	if s == nil && beat == nil {
+	if h == nil && beat == nil {
 		return
 	}
 	every := uint64(1024)
-	if s != nil && s.Every > 0 {
-		every = s.Every
+	if h != nil {
+		every = h.SampleEvery()
 	}
 	last := hw.Eng.Now()
 	hw.Eng.SetProbe(every, func(cycle uint64) {
-		if s != nil {
-			s.Sample(cycle)
-		}
+		h.Sample(cycle)
 		beat.Add(cycle - last)
 		last = cycle
 	})
@@ -252,7 +257,7 @@ func NewSW(cfg Config, sys *rts.System) *SW {
 }
 
 // AttachTelemetry registers the CPU baseline's counters under cpu.* and the
-// heap gauges, and hooks the hub's sampler onto the core's clock probe: the
+// heap gauges, and hooks the hub's Sample onto the core's clock probe: the
 // software collector has no event engine, so its probe rides the CPU's
 // local cycle count instead, giving SW runs the same sampled time series as
 // HW runs. The probe observes the clock without touching the core, so
@@ -271,11 +276,9 @@ func (sw *SW) AttachTelemetry(h *telemetry.Hub) {
 		s.AttachTelemetry(h)
 	}
 	sw.Sys.Heap.AttachTelemetry(h)
-	if s := h.Sampler; s != nil {
-		// The heartbeat stays per-collection (see Step/CollectNow): the
-		// probe serves sampling only, to avoid double-counting cycles.
-		sw.CPU.SetProbe(s.Every, func(cycle uint64) { s.Sample(cycle) })
-	}
+	// The heartbeat stays per-collection (see Step/CollectNow): the probe
+	// serves sampling only, to avoid double-counting cycles.
+	sw.CPU.SetProbe(h.SampleEvery(), h.Sample)
 }
 
 // Collect runs a full software collection.
@@ -398,17 +401,16 @@ func NewAppRunner(cfg Config, spec workload.Spec, kind CollectorKind, seed uint6
 	} else {
 		r.SW = NewSW(cfg, sys)
 	}
-	// A process-default hub (hwgc-bench -metrics-out, hwgc-serve)
-	// instruments every runner it builds. A synchronized hub forks a
-	// private per-run child here, so concurrent runners never share
-	// mutable telemetry state; a plain hub attaches directly (the latest
-	// runner's callbacks win in the registry, and the fleet keeps such
-	// runs serial).
-	short := "sw"
-	if kind == HWCollector {
-		short = "hw"
+	// The config's hub (hwgc-bench -timeseries/-trace-out) forks a private
+	// per-run child here, so concurrent runners never share mutable
+	// telemetry state.
+	if cfg.Tel != nil {
+		short := "sw"
+		if kind == HWCollector {
+			short = "hw"
+		}
+		r.AttachTelemetry(cfg.Tel.ForRun(spec.Name + "/" + short))
 	}
-	r.AttachTelemetry(telemetry.Default().ForRun(spec.Name + "/" + short))
 	return r, nil
 }
 

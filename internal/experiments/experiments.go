@@ -39,6 +39,11 @@ type Options struct {
 	// endpoint reads it while the run is in flight). It never affects
 	// results, so it is excluded from cache keys and JSON.
 	Beat *telemetry.Beat `json:"-" cachekey:"-"`
+	// Tel, when non-nil, instruments every system the experiment builds:
+	// each runner forks a private child hub (Hub.ForRun), so instrumented
+	// fleets keep their full parallel width. It never affects results, so
+	// it is excluded from cache keys and JSON.
+	Tel *telemetry.Hub `json:"-" cachekey:"-"`
 }
 
 // DefaultOptions returns the full-scale settings used for EXPERIMENTS.md.
@@ -60,13 +65,14 @@ func ScaledConfig() core.Config {
 }
 
 // config returns ScaledConfig with the run-scoped plumbing applied: the
-// options' progress heartbeat rides along into every system a runner
-// builds. Runners construct their configs through this so a served job's
-// /v1/jobs/{id}/progress counter advances no matter which cells the
-// experiment fans out.
+// options' progress heartbeat and telemetry hub ride along into every
+// system a runner builds. Runners construct their configs through this so a
+// served job's /v1/jobs/{id}/progress counter advances, and every cell is
+// instrumented, no matter which cells the experiment fans out.
 func (o Options) config() core.Config {
 	cfg := ScaledConfig()
 	cfg.Beat = o.Beat
+	cfg.Tel = o.Tel
 	return cfg
 }
 

@@ -14,20 +14,15 @@ package experiments
 // Determinism: every cell builds its own core.AppRunner, which owns a
 // private sim.Engine, heap, and seeded RNG; nothing is shared between
 // cells, and results are collected into an index-addressed slice, so the
-// assembled report does not depend on completion order. The one piece of
-// process-global mutable state is the default telemetry hub: a plain hub's
-// registry and sampler are deliberately unsynchronized, so an installed
-// plain hub degrades the fan-out to serial rather than racing on it; a
-// synchronized hub (telemetry.NewSyncHub) forks a private child per runner
-// and keeps the full width.
+// assembled report does not depend on completion order. Telemetry rides
+// in Options.Tel and every runner forks a private child hub from it, so an
+// instrumented fleet keeps its full width too.
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
-
-	"hwgc/internal/telemetry"
 )
 
 // Result pairs a runner with its report or failure from a fleet run.
@@ -40,19 +35,10 @@ type Result struct {
 }
 
 // Width resolves a requested parallelism to the effective worker count:
-// <= 0 means GOMAXPROCS. A width collapses to 1 while a *plain* process
-// default telemetry hub is installed (its registry, sampler, and tracer
-// are single-threaded by design; see docs/PERFORMANCE.md). A synchronized
-// hub (telemetry.NewSyncHub) forks a private child per runner, so it keeps
-// the full width.
+// <= 0 means GOMAXPROCS.
 func Width(parallel int) int {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > 1 {
-		if h := telemetry.Default(); h != nil && !h.Synchronized() {
-			parallel = 1
-		}
 	}
 	return parallel
 }

@@ -142,39 +142,24 @@ func TestRunFleetShieldsPanics(t *testing.T) {
 	}
 }
 
-// TestWidthTelemetryGate checks that installing a plain process-default
-// telemetry hub forces the fleet serial (its registry and sampler are
-// single-threaded by design), while a synchronized hub keeps the width.
+// TestWidthTelemetryGate checks that Width resolves only the requested
+// parallelism: telemetry rides in Options.Tel and every runner forks a
+// private child hub, so there is no hub that could narrow the fleet.
 func TestWidthTelemetryGate(t *testing.T) {
-	if telemetry.Default() != nil {
-		t.Fatal("test requires no default hub installed")
-	}
 	if got := Width(8); got != 8 {
-		t.Fatalf("Width(8) = %d without a hub, want 8", got)
+		t.Fatalf("Width(8) = %d, want 8", got)
 	}
 	if got := Width(0); got < 1 {
 		t.Fatalf("Width(0) = %d, want >= 1", got)
 	}
-	telemetry.SetDefault(telemetry.NewHub(0))
-	defer telemetry.SetDefault(nil)
-	if got := Width(8); got != 1 {
-		t.Fatalf("Width(8) = %d with a plain default hub installed, want 1", got)
-	}
-	telemetry.SetDefault(telemetry.NewSyncHub(0))
-	if got := Width(8); got != 8 {
-		t.Fatalf("Width(8) = %d with a synchronized default hub installed, want 8", got)
-	}
 }
 
-// TestSyncHubParallelFleet is the synchronized-hub contract: with a sync
-// hub installed as the process default, the fleet keeps its parallel width
-// (each runner forks a private child), runs race-free, and the hub's merged
-// metric summary is byte-identical to a serial instrumented run — the
-// aggregate is pure summation, so it cannot depend on completion order.
+// TestSyncHubParallelFleet is the Options.Tel contract: an instrumented
+// fleet keeps its parallel width (each runner forks a private child), runs
+// race-free, and reports and the hub's Snapshot() sums are byte-identical
+// to a serial instrumented run — the aggregate is pure summation, so it
+// cannot depend on completion order.
 func TestSyncHubParallelFleet(t *testing.T) {
-	if telemetry.Default() != nil {
-		t.Fatal("test requires no default hub installed")
-	}
 	ids := []string{"table1", "fig22", "abl-layout"}
 	runners := make([]Runner, 0, len(ids))
 	for _, id := range ids {
@@ -188,9 +173,8 @@ func TestSyncHubParallelFleet(t *testing.T) {
 	o.Shrink = 8
 
 	run := func(width int) (reports, summary string) {
-		hub := telemetry.NewSyncHub(256)
-		telemetry.SetDefault(hub)
-		defer telemetry.SetDefault(nil)
+		o := o
+		o.Tel = telemetry.NewHub(256)
 		var rep strings.Builder
 		for _, res := range RunFleet(runners, o, width) {
 			if res.Err != nil {
@@ -199,23 +183,23 @@ func TestSyncHubParallelFleet(t *testing.T) {
 			rep.WriteString(res.Report.String())
 		}
 		var sum strings.Builder
-		if err := hub.WriteSummary(&sum); err != nil {
-			t.Fatalf("width %d: summary: %v", width, err)
+		if err := o.Tel.Snapshot().WriteSummary(&sum); err != nil {
+			t.Fatalf("width %d: snapshot: %v", width, err)
 		}
 		return rep.String(), sum.String()
 	}
 
 	serialReports, serialSummary := run(1)
 	parReports, parSummary := run(8)
-	if serialSummary == "" || !strings.Contains(serialSummary, "heap.allocations") {
+	if !strings.Contains(serialSummary, "heap.allocations") {
 		t.Fatalf("summary looks empty or unpopulated:\n%s", serialSummary)
 	}
 	if parReports != serialReports {
-		t.Errorf("parallel reports differ from serial with a sync hub installed:\n--- serial ---\n%s--- parallel ---\n%s",
+		t.Errorf("parallel reports differ from serial with Options.Tel set:\n--- serial ---\n%s--- parallel ---\n%s",
 			serialReports, parReports)
 	}
 	if parSummary != serialSummary {
-		t.Errorf("parallel telemetry summary differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
+		t.Errorf("parallel telemetry snapshot differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
 			serialSummary, parSummary)
 	}
 }

@@ -110,9 +110,8 @@ type Timeseries struct {
 	Runs        []RunSeries `json:"runs"`
 }
 
-// RunSeries is one run's recorded series. Run is empty for a single-run
-// (plain hub) manifest; under a fleet it is the run's merged-output name
-// ("main" or "bench/side#seq").
+// RunSeries is one run's recorded series. Run is the run's merged-output
+// name ("main" or "bench/side#seq"; empty in older single-run manifests).
 type RunSeries struct {
 	Run    string   `json:"run,omitempty"`
 	Series []Series `json:"series"`
@@ -273,10 +272,7 @@ func (m *Manifest) SnapshotTimeseries(h *telemetry.Hub) {
 	if len(runs) == 0 {
 		return
 	}
-	ts := &Timeseries{SchemaVersion: TimeseriesSchemaVersion}
-	if h.Sampler != nil {
-		ts.SampleEvery = h.Sampler.Every
-	}
+	ts := &Timeseries{SchemaVersion: TimeseriesSchemaVersion, SampleEvery: h.SampleEvery()}
 	for _, r := range runs {
 		rs := RunSeries{Run: r.Run, Series: make([]Series, 0, len(r.Series))}
 		for _, sd := range r.Series {

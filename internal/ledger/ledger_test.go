@@ -219,7 +219,7 @@ func TestTimeseriesRoundTrip(t *testing.T) {
 	h.Reg.Gauge("unit.occ", func() float64 { return g })
 	for cyc := uint64(10); cyc <= 50; cyc += 10 {
 		g = float64(cyc)
-		h.Sampler.Sample(cyc)
+		h.Sample(cyc)
 	}
 
 	m := midBandManifest(true)

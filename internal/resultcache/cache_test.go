@@ -132,7 +132,7 @@ func TestCacheTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewSyncHub(0)
+	hub := telemetry.NewHub(0)
 	c.AttachTelemetry(hub)
 	c.Put(key(1), []byte("x"))
 	c.Get(key(1))

@@ -1,11 +1,16 @@
 package resultcache_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
+	"hwgc/internal/cluster"
 	"hwgc/internal/core"
+	"hwgc/internal/experiments"
 	"hwgc/internal/resultcache"
+	"hwgc/internal/telemetry"
 	"hwgc/internal/workload"
 )
 
@@ -145,5 +150,26 @@ func TestCellKeyCoversEveryConfigField(t *testing.T) {
 	}
 	if resultcache.CellKey("fig15", cfg, spec, 43) == base {
 		t.Error("seed did not change the cell key")
+	}
+
+	// Run-scoped plumbing (progress heartbeat, telemetry hub) rides along
+	// with the config and options but never changes results, so it must
+	// leave the cell key and the cluster wire form alone.
+	hub := telemetry.NewHub(0)
+	cfg.Beat, cfg.Tel = &telemetry.Beat{}, hub
+	if keyOf() != base {
+		t.Error("Config.Beat/Config.Tel changed the cell key")
+	}
+	o := experiments.QuickOptions()
+	bare := cluster.NewJobSpec("fig16", o)
+	o.Beat, o.Tel = &telemetry.Beat{}, hub
+	withTel := cluster.NewJobSpec("fig16", o)
+	if experiments.CellKey("fig16", o) != experiments.CellKey("fig16", experiments.QuickOptions()) {
+		t.Error("Options.Tel changed the experiment cell key")
+	}
+	a, errA := json.Marshal(bare)
+	b, errB := json.Marshal(withTel)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Errorf("Options.Tel changed the cluster.JobSpec JSON:\n%s\n%s", a, b)
 	}
 }

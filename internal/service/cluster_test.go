@@ -186,7 +186,7 @@ func TestJobMissHTTPStatus(t *testing.T) {
 func TestDaemonDrainWithClusterJobs(t *testing.T) {
 	release := make(chan struct{})
 	runners := []experiments.Runner{blockingRunner("slow", release)}
-	hub := telemetry.NewSyncHub(0)
+	hub := telemetry.NewHub(0)
 	coord := cluster.NewCoordinator(cluster.Config{Runners: runners, LeaseTTL: time.Hour})
 	pool, err := cluster.StartLoopbackWorkers(coord, 1, cluster.WorkerConfig{
 		Name: "local", Runners: runners, PollEvery: time.Millisecond,

@@ -74,8 +74,9 @@ type Config struct {
 	Cache *resultcache.Cache
 	// Hub, when set, receives service metrics (queue depth, job counters,
 	// latency) and the cache's counters on its registry. When nil the
-	// scheduler creates a private synchronized hub, so service metrics —
-	// and the introspection endpoints built on them — are always on.
+	// scheduler creates a private hub, so service metrics — and the
+	// introspection endpoints built on them — are always on. Jobs' own
+	// simulations are never instrumented.
 	Hub *telemetry.Hub
 	// Ledger, when set, receives one run manifest per finished job, so a
 	// served fleet leaves the same durable trail as a hwgc-bench run.
@@ -252,11 +253,11 @@ func New(cfg Config) *Scheduler {
 	}
 	sort.Strings(s.ids)
 	// Service metrics are always on: without a caller-supplied hub the
-	// scheduler owns a synchronized one (safe to snapshot while jobs run),
-	// so the metrics endpoints never have nothing to say.
+	// scheduler owns one, so the metrics endpoints never have nothing to
+	// say.
 	s.hub = cfg.Hub
 	if s.hub == nil {
-		s.hub = telemetry.NewSyncHub(0)
+		s.hub = telemetry.NewHub(0)
 	}
 	s.attachTelemetry(s.hub)
 	for i := 0; i < workers; i++ {
@@ -267,7 +268,7 @@ func New(cfg Config) *Scheduler {
 }
 
 // Hub returns the scheduler's telemetry hub: cfg.Hub when one was supplied,
-// otherwise the scheduler's own always-on synchronized hub. Never nil.
+// otherwise the scheduler's own always-on hub. Never nil.
 func (s *Scheduler) Hub() *telemetry.Hub { return s.hub }
 
 // ExperimentIDs returns the served runner IDs, sorted.
@@ -507,12 +508,14 @@ func (s *Scheduler) finish(job *Job, st State, errMsg string, res DispatchResult
 		}
 	}
 	s.mu.Unlock()
-	close(job.done)
 	if s.cfg.Ledger != nil {
 		// Manifest writes happen outside the lock — a slow disk never
-		// stalls the job table. A failed append only loses the record.
+		// stalls the job table — but before done closes, so a waiter that
+		// sees the job finish also sees its manifest. A failed append only
+		// loses the record.
 		_, _ = s.cfg.Ledger.Append(jobManifest(job))
 	}
+	close(job.done)
 }
 
 // evictOldestLocked drops the oldest finished job from the table and

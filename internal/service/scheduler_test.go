@@ -140,7 +140,7 @@ func TestSchedulerCacheHitTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewSyncHub(0)
+	hub := telemetry.NewHub(0)
 	s := New(Config{Workers: 2, Cache: cache, Hub: hub})
 	defer drain(t, s)
 

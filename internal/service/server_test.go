@@ -70,7 +70,7 @@ func TestServiceCacheHitIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewSyncHub(0)
+	hub := telemetry.NewHub(0)
 	s := New(Config{Workers: 2, Cache: cache, Hub: hub})
 	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, Hub: hub, DrainTimeout: 10 * time.Second}
 	base, stop := startDaemon(t, d)
@@ -298,5 +298,66 @@ func TestServiceJobReportHTTP(t *testing.T) {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Fatalf("report HTML missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestMetricsScrapeDuringColdRun scrapes /v1/metrics and /metrics in a loop
+// while a cold fig16 job simulates, with the wiring hwgc-serve uses (one
+// hub for the service, the cache, and the endpoints). Under -race this
+// guards the daemon's contract that serving metrics never reads state a
+// running simulation writes: jobs' simulations are not instrumented.
+func TestMetricsScrapeDuringColdRun(t *testing.T) {
+	cache, err := resultcache.New(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := telemetry.NewHub(0)
+	s := New(Config{Workers: 1, Cache: cache, Hub: hub})
+	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, Hub: hub, DrainTimeout: 30 * time.Second}
+	base, stop := startDaemon(t, d)
+
+	done := make(chan View, 1)
+	go func() {
+		const body = `{"experiment":"fig16","options":{"GCs":1,"Seed":42,"Quick":true,"Shrink":32},"wait":true}`
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		var v View
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&v)
+			resp.Body.Close()
+		}
+		if err != nil {
+			v.Error = err.Error()
+		}
+		done <- v
+	}()
+
+	scrapes := 0
+	for running := true; running; {
+		select {
+		case v := <-done:
+			if v.State != StateSucceeded || v.CacheHit {
+				t.Fatalf("job = %s (cache hit %v, error %q), want a cold success", v.State, v.CacheHit, v.Error)
+			}
+			running = false
+		default:
+		}
+		for _, path := range []string{"/v1/metrics", "/metrics"} {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !bytes.Contains(b, []byte("service")) {
+				t.Fatalf("GET %s = %d\n%s", path, resp.StatusCode, b)
+			}
+			scrapes++
+		}
+	}
+	if scrapes < 4 {
+		t.Fatalf("only %d scrapes overlapped the run", scrapes)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("daemon shutdown: %v", err)
 	}
 }

@@ -93,8 +93,8 @@ func TestSampleQuantileAndCDFEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSyncHubSnapshotDeterministicUnderConcurrentForks drives a
-// synchronized hub the way a parallel fleet does — N goroutines forking
+// TestSyncHubSnapshotDeterministicUnderConcurrentForks drives a hub the
+// way a parallel fleet does — N goroutines forking
 // children and recording concurrently — and asserts the folded snapshot is
 // byte-identical to a serial run's. Run under -race this also proves the
 // fork/fold paths are race-free.
@@ -109,7 +109,7 @@ func TestSyncHubSnapshotDeterministicUnderConcurrentForks(t *testing.T) {
 		child.Reg.CounterFunc("unit.cfn", func() uint64 { return n })
 	}
 	summary := func(parallel bool) string {
-		h := NewSyncHub(0)
+		h := NewHub(0)
 		if parallel {
 			var wg sync.WaitGroup
 			for i := 0; i < runs; i++ {
@@ -141,7 +141,7 @@ func TestSyncHubSnapshotDeterministicUnderConcurrentForks(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	h := NewSyncHub(0)
+	h := NewHub(0)
 	h.Reg.Counter("service.jobs.completed").Add(3)
 	h.Reg.Gauge("service.queue.depth", func() float64 { return 2 })
 	child := h.ForRun("x")
@@ -252,9 +252,9 @@ func TestWritePrometheusHostileNames(t *testing.T) {
 	}
 }
 
-// Satellite: the tracer's drop counter and the sampler's sample count are
-// registry metrics, so truncated traces and silent samplers show up in
-// every summary and on /metrics.
+// Satellite: the tracer's drop counter and the probe's tick count are
+// registry metrics, so truncated traces and silent probes show up in every
+// summary and on /metrics.
 func TestTracerAndSamplerSelfMetrics(t *testing.T) {
 	h := NewHub(0)
 	if v, ok := h.Reg.Value("telemetry.sampler.samples"); !ok || v != 0 {

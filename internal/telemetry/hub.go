@@ -5,88 +5,94 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
-// Hub bundles the three telemetry surfaces a run attaches to its simulated
-// units: the metrics registry, the cycle sampler over it, and (optionally)
-// the structured event tracer. A nil *Hub disables everything.
+// Hub bundles the telemetry surfaces a run attaches to its simulated
+// units: the metrics registry, the bounded time-series recorder fed by the
+// engine's cycle probe (Sample), and (optionally) the structured event
+// tracer. A nil *Hub disables everything.
 //
-// A hub comes in two flavours:
-//
-//   - A plain hub (NewHub) is single-threaded: one simulation at a time
-//     records into it, and the hot paths pay no synchronization.
-//   - A synchronized hub (NewSyncHub) may be installed as the process
-//     default while simulations run concurrently. It never shares mutable
-//     telemetry state between runs; instead every run forks a private child
-//     hub via ForRun, and the aggregate view (Snapshot, WriteSummary,
-//     WriteSamplesJSONL, WriteTraceChrome) folds the children back
-//     together. Recording therefore stays as cheap as the plain hub.
+// A hub travels with the run that uses it (experiments.Options.Tel,
+// core.Config.Tel); there is no process-wide hub. Every simulation run
+// forks a private child via ForRun, so concurrent runs never share mutable
+// telemetry state and recording pays no synchronization. The aggregate
+// views (Snapshot, WriteSummary, RecordedSeries, WriteSamplesJSONL,
+// WriteTraceChrome) fold the hub and its children back together. The hub's
+// own registry is for coordinator-level metrics (a result cache, a
+// service): counters are atomic, and gauge/histogram users must bring their
+// own locking.
 type Hub struct {
-	Reg     *Registry
-	Sampler *Sampler
-	Trace   *Tracer
+	Reg   *Registry
+	Trace *Tracer
 
-	// sync is non-nil for synchronized hubs (NewSyncHub).
-	sync *syncState
+	every uint64    // probe interval in cycles
+	ticks int       // probe ticks taken (telemetry.sampler.samples)
+	rec   *Recorder // nil until EnableRecording
+
+	mu       sync.Mutex // guards Trace and rec (inherited by forks) and the fork list
+	perLabel map[string]int
+	children []child
 }
 
-// syncState is the bookkeeping of a synchronized hub: the forked per-run
-// children and the settings new children inherit.
-type syncState struct {
-	sampleEvery uint64
-
-	mu           sync.Mutex
-	trace        bool
-	record       bool // children record bounded time series
-	recordPoints int
-	noRows       bool // children skip the unbounded row log
-	perLabel     map[string]int
-	children     []syncChild
-}
-
-// syncChild is one forked per-run hub. seq numbers children that share a
-// label in fork order, so merged sampler/trace output has stable names.
-type syncChild struct {
+// child is one forked per-run hub. seq numbers children that share a label
+// in fork order, so merged series/trace output has stable names.
+type child struct {
 	label string
 	seq   int
 	hub   *Hub
 }
 
-// name returns the child's unique run name ("xalan/hw#2").
-func (c syncChild) name() string { return c.label + "#" + strconv.Itoa(c.seq) }
-
-// NewHub returns a plain (single-threaded) hub with a registry and a
-// sampler at the given interval (0 = default 1024 cycles). Event tracing is
-// off until EnableTrace.
-func NewHub(sampleEvery uint64) *Hub {
-	reg := NewRegistry()
-	s := NewSampler(reg, sampleEvery)
-	// Sampling volume is part of every summary, so a run that recorded no
-	// series (probe never hooked, interval too coarse) is visible at a
-	// glance rather than silently empty.
-	reg.CounterFunc("telemetry.sampler.samples", func() uint64 { return uint64(s.Len()) })
-	return &Hub{Reg: reg, Sampler: s}
+// name returns the child's unique run name ("xalan/hw#2"), or "main" for
+// the hub's own surfaces (seq -1, see runs).
+func (c child) name() string {
+	if c.seq < 0 {
+		return c.label
+	}
+	return c.label + "#" + strconv.Itoa(c.seq)
 }
 
-// NewSyncHub returns a synchronized hub: safe to install as the process
-// default while simulations run concurrently. Its own registry (Reg) is for
-// coordinator-level metrics — counters are atomic, and gauge/histogram
-// users must bring their own locking (see the service package). Simulation
-// runs must attach through ForRun.
-func NewSyncHub(sampleEvery uint64) *Hub {
-	h := NewHub(sampleEvery)
-	h.sync = &syncState{sampleEvery: sampleEvery, perLabel: make(map[string]int)}
+// NewHub returns a hub whose probe ticks every sampleEvery cycles (0 =
+// default 1024). Event tracing and time-series recording are off until
+// EnableTrace / EnableRecording.
+func NewHub(sampleEvery uint64) *Hub {
+	if sampleEvery == 0 {
+		sampleEvery = 1024
+	}
+	h := &Hub{Reg: NewRegistry(), every: sampleEvery}
+	// Probe volume is part of every summary, so a run whose probe never
+	// hooked (or whose interval was too coarse) is visible at a glance
+	// rather than silently empty.
+	h.Reg.CounterFunc("telemetry.sampler.samples", func() uint64 { return uint64(h.ticks) })
 	return h
 }
 
-// Synchronized reports whether the hub tolerates concurrent runs (it was
-// created by NewSyncHub). False for nil and plain hubs.
-func (h *Hub) Synchronized() bool { return h != nil && h.sync != nil }
+// SampleEvery returns the probe interval in cycles (0 for a nil hub).
+func (h *Hub) SampleEvery() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.every
+}
 
-// EnableTrace turns on structured event tracing and returns the tracer. On
-// a synchronized hub, children forked afterwards record traces too.
+// Sample is the cycle probe's per-tick entry point: it counts the tick and
+// folds it into the time-series recorder when recording is on. The probe
+// fires between events and never schedules anything, so sampling cannot
+// perturb simulated results.
+//
+//hwgc:hotpath
+func (h *Hub) Sample(cycle uint64) {
+	if h == nil {
+		return
+	}
+	h.ticks++
+	h.rec.Tick(cycle)
+}
+
+// EnableTrace turns on structured event tracing and returns the tracer.
+// Runs forked afterwards record traces too.
 func (h *Hub) EnableTrace() *Tracer {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.Trace == nil {
 		h.Trace = NewTracer()
 		// Truncation must be visible in summaries, not just buried in the
@@ -96,139 +102,99 @@ func (h *Hub) EnableTrace() *Tracer {
 		h.Reg.CounterFunc("telemetry.trace.events", func() uint64 { return uint64(len(t.Events())) })
 		h.Reg.CounterFunc("telemetry.trace.dropped", t.Dropped)
 	}
-	if h.sync != nil {
-		h.sync.mu.Lock()
-		h.sync.trace = true
-		h.sync.mu.Unlock()
-	}
 	return h.Trace
 }
 
 // EnableRecording turns on bounded time-series recording (off by default):
 // every probe tick folds into at most maxPoints retained points per metric
-// (0 = DefaultRecorderPoints). On a synchronized hub, children forked
-// afterwards record too. Idempotent.
+// (0 = DefaultRecorderPoints). Runs forked afterwards record too.
+// Idempotent.
 func (h *Hub) EnableRecording(maxPoints int) {
 	if h == nil {
 		return
 	}
-	h.Sampler.enableRecording(maxPoints)
-	if h.sync != nil {
-		h.sync.mu.Lock()
-		h.sync.record = true
-		h.sync.recordPoints = maxPoints
-		h.sync.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.rec == nil {
+		h.rec = newRecorder(h.Reg, h.every, maxPoints)
 	}
 }
 
-// DisableRowCapture stops the sampler's unbounded per-tick row log (the
-// -metrics-out JSONL source), leaving the bounded recorder as the only
-// per-tick sink — the fixed-memory configuration for recording-only runs.
-// On a synchronized hub, children forked afterwards inherit the setting.
-func (h *Hub) DisableRowCapture() {
+// ForRun forks the private child hub one simulation run attaches to: its
+// own registry, recorder, and tracer, with this hub's probe interval and
+// tracing/recording settings. The run's hot paths therefore stay
+// unsynchronized no matter how many runs record concurrently. The label
+// groups the run in merged output; children sharing a label are numbered
+// in fork order. Nil-safe.
+func (h *Hub) ForRun(label string) *Hub {
 	if h == nil {
-		return
+		return nil
 	}
-	if h.Sampler != nil {
-		h.Sampler.noRows = true
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	c := NewHub(h.every)
+	if h.Trace != nil {
+		c.EnableTrace()
 	}
-	if h.sync != nil {
-		h.sync.mu.Lock()
-		h.sync.noRows = true
-		h.sync.mu.Unlock()
+	if h.rec != nil {
+		c.EnableRecording(h.rec.maxPoints)
 	}
+	if h.perLabel == nil {
+		h.perLabel = make(map[string]int)
+	}
+	h.children = append(h.children, child{label: label, seq: h.perLabel[label], hub: c})
+	h.perLabel[label]++
+	return c
 }
 
-// RecordedSeries returns every run's recorded time series. A plain hub
-// yields at most one entry with an empty run name; a synchronized hub
-// yields its own series as "main" plus one entry per child, in (label, fork
-// sequence) order. Runs and series that recorded nothing are omitted. Call
-// after workers join, like Snapshot.
+// runs snapshots the hub's own surfaces as run "main" (seq -1) followed by
+// every forked child ordered by (label, seq) — the canonical order for
+// merged output. Within a label, seq follows fork order, which equals
+// submission order on a serial run.
+func (h *Hub) runs() []child {
+	h.mu.Lock()
+	out := append([]child{{label: "main", seq: -1, hub: h}}, h.children...)
+	h.mu.Unlock()
+	forked := out[1:]
+	sort.Slice(forked, func(i, j int) bool {
+		if forked[i].label != forked[j].label {
+			return forked[i].label < forked[j].label
+		}
+		return forked[i].seq < forked[j].seq
+	})
+	return out
+}
+
+// RecordedSeries returns every run's recorded time series: the hub's own as
+// "main", then one entry per forked child, in (label, fork sequence) order.
+// Runs and series that recorded nothing are omitted. Call after workers
+// join, like Snapshot.
 func (h *Hub) RecordedSeries() []RunSeries {
 	if h == nil {
 		return nil
 	}
-	if h.sync == nil {
-		if sd := h.Sampler.Recorder().Series(); len(sd) > 0 {
-			return []RunSeries{{Series: sd}}
-		}
-		return nil
-	}
 	var out []RunSeries
-	if sd := h.Sampler.Recorder().Series(); len(sd) > 0 {
-		out = append(out, RunSeries{Run: "main", Series: sd})
-	}
-	for _, c := range h.sortedChildren() {
-		if sd := c.hub.Sampler.Recorder().Series(); len(sd) > 0 {
+	for _, c := range h.runs() {
+		if sd := c.hub.rec.Series(); len(sd) > 0 {
 			out = append(out, RunSeries{Run: c.name(), Series: sd})
 		}
 	}
 	return out
 }
 
-// ForRun returns the hub one simulation run should attach to. For nil and
-// plain hubs that is the hub itself (the single-threaded contract is the
-// caller's problem, as before). For a synchronized hub it forks a private
-// child — own registry, sampler, and tracer — so the run's hot paths stay
-// unsynchronized no matter how many runs record concurrently. The label
-// groups the run in merged sampler/trace output; children sharing a label
-// are numbered in fork order.
-func (h *Hub) ForRun(label string) *Hub {
-	if h == nil || h.sync == nil {
-		return h
-	}
-	s := h.sync
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := NewHub(s.sampleEvery)
-	if s.trace {
-		c.EnableTrace()
-	}
-	if s.record {
-		c.Sampler.enableRecording(s.recordPoints)
-	}
-	if s.noRows {
-		c.Sampler.noRows = true
-	}
-	s.children = append(s.children, syncChild{label: label, seq: s.perLabel[label], hub: c})
-	s.perLabel[label]++
-	return c
-}
-
-// sortedChildren snapshots the child list ordered by (label, seq) — the
-// canonical order for merged output. Within a label, seq follows fork
-// order, which equals submission order on a serial run.
-func (h *Hub) sortedChildren() []syncChild {
-	h.sync.mu.Lock()
-	out := append([]syncChild(nil), h.sync.children...)
-	h.sync.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].label != out[j].label {
-			return out[i].label < out[j].label
-		}
-		return out[i].seq < out[j].seq
-	})
-	return out
-}
-
-// Snapshot returns the hub's aggregate registry. For nil and plain hubs it
-// is the registry itself. For a synchronized hub it is a fresh registry
-// folding the hub's own metrics and every forked child: counters, rates,
-// and histograms are summed, and counter-func/gauge callbacks are evaluated
-// and summed. Summation is commutative, so the aggregate does not depend on
-// run completion order — a parallel fleet's summary is byte-identical to a
-// serial one. Do not call while runs are still recording into children
-// (callers snapshot after their workers join).
+// Snapshot returns a fresh registry folding the hub's own metrics and every
+// forked child: counters, rates, and histograms are summed, and
+// counter-func/gauge callbacks are evaluated and summed. Summation is
+// commutative, so the aggregate does not depend on run completion order —
+// a parallel fleet's summary is byte-identical to a serial one. Do not call
+// while runs are still recording into children (callers snapshot after
+// their workers join). Nil-safe.
 func (h *Hub) Snapshot() *Registry {
-	if h == nil || h.sync == nil {
-		if h == nil {
-			return nil
-		}
-		return h.Reg
+	if h == nil {
+		return nil
 	}
 	out := NewRegistry()
-	fold(out, h.Reg)
-	for _, c := range h.sortedChildren() {
+	for _, c := range h.runs() {
 		fold(out, c.hub.Reg)
 	}
 	return out
@@ -236,9 +202,6 @@ func (h *Hub) Snapshot() *Registry {
 
 // fold accumulates src's metrics into dst (see Snapshot for the rules).
 func fold(dst, src *Registry) {
-	if src == nil {
-		return
-	}
 	for name, m := range src.metrics {
 		switch m.kind {
 		case KindCounter:
@@ -271,66 +234,82 @@ func fold(dst, src *Registry) {
 	}
 }
 
-// WriteSummary writes the end-of-run metric summary (the aggregate view for
-// a synchronized hub). Nil-safe.
+// WriteSummary writes the end-of-run metric summary of the aggregate view.
+// Nil-safe.
 func (h *Hub) WriteSummary(w io.Writer) error { return h.Snapshot().WriteSummary(w) }
 
-// WriteSamplesJSONL writes every recorded metric sample. A plain hub's
-// output is unchanged from Sampler.WriteJSONL; a synchronized hub writes
-// each run's samples tagged with a "run" field, runs ordered by (label,
-// fork sequence). At fleet width 1 that order is canonical; at higher
-// widths runs sharing a label may permute (their contents stay
-// deterministic).
+// WriteSamplesJSONL writes the recorded time series (RecordedSeries) as one
+// JSON object per retained cycle of each run:
+//
+//	{"run":"xalan/hw#0","cycle":2048,"metrics":{"dram.busy":0.5,...}}
+//
+// Every metric the recorder keeps appears — gauges as window means,
+// counters and rates as per-cycle rates — so the output is bounded by the
+// recorder's point budget, however long the run. Series share their run's
+// retention stride, so a row carries every metric with a point at that
+// cycle; a metric registered mid-run joins later rows. Keys are sorted and
+// floats formatted deterministically. Runs come in RecordedSeries order: at
+// fleet width 1 that order is canonical; at higher widths runs sharing a
+// label may permute (their contents stay deterministic).
 func (h *Hub) WriteSamplesJSONL(w io.Writer) error {
-	if h == nil {
-		return nil
-	}
-	if h.sync == nil {
-		return h.Sampler.WriteJSONL(w)
-	}
-	if err := h.Sampler.writeJSONL(w, "main"); err != nil {
-		return err
-	}
-	for _, c := range h.sortedChildren() {
-		if err := c.hub.Sampler.writeJSONL(w, c.name()); err != nil {
+	for _, run := range h.RecordedSeries() {
+		if err := writeRunJSONL(w, run); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// SampleCount returns the total number of recorded samples across the hub
-// and (for a synchronized hub) all forked children.
-func (h *Hub) SampleCount() int {
-	if h == nil {
-		return 0
-	}
-	n := h.Sampler.Len()
-	if h.sync != nil {
-		for _, c := range h.sortedChildren() {
-			n += c.hub.Sampler.Len()
+// writeRunJSONL merges one run's per-metric series into cycle-ordered rows.
+func writeRunJSONL(w io.Writer, run RunSeries) error {
+	pos := make([]int, len(run.Series)) // next unwritten point per series
+	head := `{"run":` + strconv.Quote(run.Run) + `,"cycle":`
+	var b []byte
+	for {
+		cycle, found := uint64(0), false
+		for i, s := range run.Series {
+			if p := pos[i]; p < len(s.Points) && (!found || s.Points[p].Cycle < cycle) {
+				cycle, found = s.Points[p].Cycle, true
+			}
+		}
+		if !found {
+			return nil
+		}
+		b = append(b[:0], head...)
+		b = strconv.AppendUint(b, cycle, 10)
+		b = append(b, `,"metrics":{`...)
+		first := true
+		for i, s := range run.Series {
+			if p := pos[i]; p < len(s.Points) && s.Points[p].Cycle == cycle {
+				if !first {
+					b = append(b, ',')
+				}
+				first = false
+				b = strconv.AppendQuote(b, s.Name)
+				b = append(b, ':')
+				b = append(b, fnum(s.Points[p].Val)...)
+				pos[i]++
+			}
+		}
+		b = append(b, "}}\n"...)
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
 	}
-	return n
 }
 
 // WriteTraceChrome writes the recorded trace events in Chrome trace_event
-// format. A plain hub's output is unchanged from Tracer.WriteChrome; a
-// synchronized hub writes each run as its own process (pid), named after
-// the run, in (label, fork sequence) order.
+// format, each run as its own process (pid) named after the run: the hub's
+// own events as "main" (when it has any), then every child in (label, fork
+// sequence) order. Nil-safe.
 func (h *Hub) WriteTraceChrome(w io.Writer) error {
 	if h == nil {
 		return nil
 	}
-	if h.sync == nil {
-		return h.Trace.WriteChrome(w)
-	}
 	var parts []tracePart
-	if h.Trace != nil && len(h.Trace.Events()) > 0 {
-		parts = append(parts, tracePart{name: "main", t: h.Trace})
-	}
-	for _, c := range h.sortedChildren() {
-		if c.hub.Trace != nil {
+	for i, c := range h.runs() {
+		// "main" only when it traced anything; children always.
+		if c.hub.Trace != nil && (i > 0 || len(c.hub.Trace.Events()) > 0) {
 			parts = append(parts, tracePart{name: c.name(), t: c.hub.Trace})
 		}
 	}
@@ -338,16 +317,14 @@ func (h *Hub) WriteTraceChrome(w io.Writer) error {
 }
 
 // TraceEventCount returns the total number of recorded trace events across
-// the hub and (for a synchronized hub) all forked children.
+// the hub and all forked children.
 func (h *Hub) TraceEventCount() int {
 	if h == nil {
 		return 0
 	}
-	n := len(h.Trace.Events())
-	if h.sync != nil {
-		for _, c := range h.sortedChildren() {
-			n += len(c.hub.Trace.Events())
-		}
+	n := 0
+	for _, c := range h.runs() {
+		n += len(c.hub.Trace.Events())
 	}
 	return n
 }
@@ -369,20 +346,3 @@ func (h *Hub) Registry() *Registry {
 	}
 	return h.Reg
 }
-
-// def is the process-wide default hub, picked up by core.NewAppRunner so
-// whole-program tools (hwgc-bench, hwgc-serve) can instrument every system
-// they build without plumbing a hub through each experiment. The pointer is
-// stored atomically, so installing/reading the default is race-free. A
-// plain hub's surfaces are NOT — while one is installed, only one
-// simulation may run at a time, and the experiment fleet enforces that by
-// collapsing its worker width to 1 (see experiments.Width). A synchronized
-// hub (NewSyncHub) lifts that restriction: runners fork private children
-// via ForRun, so the fleet keeps its full width.
-var def atomic.Pointer[Hub]
-
-// SetDefault installs (or, with nil, clears) the process default hub.
-func SetDefault(h *Hub) { def.Store(h) }
-
-// Default returns the process default hub, or nil.
-func Default() *Hub { return def.Load() }

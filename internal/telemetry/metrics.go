@@ -1,8 +1,8 @@
 // Package telemetry is the unified observability layer for the simulator:
 // a hierarchical metrics registry (counters, gauges, histograms, rates)
 // that every simulated unit registers into under stable dotted names, a
-// cycle-driven sampler that turns registered gauges into deterministic time
-// series, and a structured event tracer that emits per-unit spans and
+// cycle-driven, bounded recorder that turns registered metrics into
+// deterministic time series, and a structured event tracer that emits per-unit spans and
 // instant events in Chrome trace_event format (openable in Perfetto or
 // chrome://tracing) and JSONL.
 //
@@ -31,8 +31,8 @@ import (
 // Counter is a monotonically increasing count (requests issued, objects
 // marked). All methods are nil-safe no-ops so disabled units can hold a nil
 // counter. Updates are atomic, so one counter instance may be shared by
-// concurrent writers (the synchronized hub and the simulation service rely
-// on this); the other metric kinds stay unsynchronized and need external
+// concurrent writers (a hub's coordinator-level registry and the simulation
+// service rely on this); the other metric kinds stay unsynchronized and need external
 // locking or per-goroutine instances for concurrent use.
 type Counter struct{ v atomic.Uint64 }
 
@@ -58,7 +58,7 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Rate is a counter whose per-interval delta the sampler reports as a
+// Rate is a counter whose per-interval delta the recorder reports as a
 // time-resolved rate (requests per cycle, bytes per cycle). The cumulative
 // total still appears in the end-of-run summary. Like Counter, updates are
 // atomic.
@@ -143,7 +143,7 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Merge folds o's observations into h (bucket-wise sums; max of maxes).
-// Used when per-run histograms from a synchronized hub's children are
+// Used when per-run histograms from a hub's forked children are
 // aggregated; merging is commutative, so the aggregate is independent of
 // run completion order. Nil-safe on both sides.
 func (h *Histogram) Merge(o *Histogram) {

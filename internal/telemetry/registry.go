@@ -17,7 +17,7 @@ const (
 	// callback (summary only).
 	KindCounterFunc
 	// KindGauge is an instantaneous value callback, sampled by the cycle
-	// sampler into a time series.
+	// recorder into a time series.
 	KindGauge
 	// KindHistogram is a distribution (summary: count/mean/quantiles/max).
 	KindHistogram
@@ -68,7 +68,7 @@ type metric struct {
 // The registry is not goroutine-safe; the simulator is single-threaded.
 type Registry struct {
 	metrics map[string]*metric
-	gen     int // bumped on every new registration (sampler cache key)
+	gen     int // bumped on every new registration (recorder cache key)
 }
 
 // NewRegistry returns an empty registry.
@@ -115,7 +115,7 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 }
 
 // Gauge registers an instantaneous-value callback. Gauges are what the
-// cycle sampler snapshots into time series. Replaces any previous callback
+// cycle recorder snapshots into time series. Replaces any previous callback
 // under the same name.
 func (r *Registry) Gauge(name string, fn func() float64) {
 	if r == nil {

@@ -2,19 +2,18 @@ package telemetry
 
 import "sort"
 
-// The time-series recorder extends the cycle sampler into a bounded,
-// auto-downsampling store: instead of appending one unbounded row per probe
-// tick (the -metrics-out path), it keeps at most maxPoints (cycle, value)
-// points per metric. When a series fills, adjacent points are merged in
-// place — halving resolution and doubling the retention stride — so a run
-// of any length fits a fixed memory budget and the retained curve always
-// spans the whole run. Everything is keyed to the simulation cycle, so two
-// identical runs record byte-identical series.
+// The time-series recorder is the hub's per-tick store: a bounded,
+// auto-downsampling series per metric. It keeps at most maxPoints (cycle,
+// value) points per metric. When a series fills, adjacent points are merged
+// in place — halving resolution and doubling the retention stride — so a
+// run of any length fits a fixed memory budget and the retained curve
+// always spans the whole run. Everything is keyed to the simulation cycle,
+// so two identical runs record byte-identical series.
 //
-// Unlike the row sampler (gauges and rates only), the recorder also derives
-// per-cycle rates from counters and counter funcs, which is how counters
-// that units already keep as plain fields (TLB misses, page walks) become
-// timelines without touching their hot paths.
+// Gauges are recorded as window means; counters, counter funcs, and rates
+// as per-cycle rates, which is how counters that units already keep as
+// plain fields (TLB misses, page walks) become timelines without touching
+// their hot paths.
 //
 // Recording is off by default; Hub.EnableRecording turns it on.
 
@@ -41,10 +40,10 @@ type SeriesData struct {
 const DefaultRecorderPoints = 512
 
 // Recorder is the bounded time-series store. It is driven by the owning
-// sampler's probe ticks; a nil *Recorder records nothing.
+// hub's probe ticks; a nil *Recorder records nothing.
 type Recorder struct {
 	reg       *Registry
-	every     uint64 // cycles between ticks (the sampler's interval)
+	every     uint64 // cycles between ticks (the hub's probe interval)
 	maxPoints int
 
 	// Metric cache, rebuilt when the registry's generation changes
@@ -72,9 +71,6 @@ type recBuf struct {
 
 // newRecorder returns a recorder over reg ticked every `every` cycles.
 func newRecorder(reg *Registry, every uint64, maxPoints int) *Recorder {
-	if every == 0 {
-		every = 1024
-	}
 	if maxPoints <= 0 {
 		maxPoints = DefaultRecorderPoints
 	}
@@ -251,8 +247,7 @@ func (r *Recorder) Series() []SeriesData {
 }
 
 // RunSeries groups one run's recorded series under the run's merged-output
-// name ("" for a plain hub; "main" or "label#seq" under a synchronized
-// hub).
+// name ("main" for the hub's own, "label#seq" for a forked run).
 type RunSeries struct {
 	Run    string
 	Series []SeriesData

@@ -1,7 +1,10 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -12,13 +15,17 @@ func TestRecordingOffByDefault(t *testing.T) {
 	c := h.Reg.Counter("work.done")
 	for cyc := uint64(10); cyc <= 100; cyc += 10 {
 		c.Add(5)
-		h.Sampler.Sample(cyc)
+		h.Sample(cyc)
 	}
 	if got := h.RecordedSeries(); len(got) != 0 {
 		t.Fatalf("RecordedSeries with recording off = %v, want none", got)
 	}
-	if h.Sampler.Len() != 10 {
-		t.Fatalf("Sampler.Len() = %d, want 10 (rows still captured)", h.Sampler.Len())
+	if v, _ := h.Reg.Value("telemetry.sampler.samples"); v != 10 {
+		t.Fatalf("telemetry.sampler.samples = %v, want 10 ticks counted", v)
+	}
+	var b bytes.Buffer
+	if err := h.WriteSamplesJSONL(&b); err != nil || b.Len() != 0 {
+		t.Fatalf("WriteSamplesJSONL with recording off = %q, %v; want nothing", b.String(), err)
 	}
 }
 
@@ -35,12 +42,12 @@ func TestRecorderGaugeAndCounter(t *testing.T) {
 	for cyc := uint64(10); cyc <= 30; cyc += 10 {
 		g = 4.0
 		c.Add(30)
-		h.Sampler.Sample(cyc)
+		h.Sample(cyc)
 	}
 
 	runs := h.RecordedSeries()
-	if len(runs) != 1 || runs[0].Run != "" {
-		t.Fatalf("RecordedSeries = %+v, want one unnamed run", runs)
+	if len(runs) != 1 || runs[0].Run != "main" {
+		t.Fatalf("RecordedSeries = %+v, want the hub's own run \"main\"", runs)
 	}
 	byName := map[string]SeriesData{}
 	for _, s := range runs[0].Series {
@@ -83,11 +90,11 @@ func TestRecorderDownsampleBound(t *testing.T) {
 	v := 0.0
 	h.Reg.Gauge("ramp", func() float64 { return v })
 
-	rec := h.Sampler.Recorder()
+	rec := h.rec
 	const ticks = 1000
 	for cyc := uint64(1); cyc <= ticks; cyc++ {
 		v = float64(cyc)
-		h.Sampler.Sample(cyc)
+		h.Sample(cyc)
 		if n := rec.Len("ramp"); n > maxPoints {
 			t.Fatalf("at cycle %d: %d retained points, bound %d", cyc, n, maxPoints)
 		}
@@ -132,16 +139,16 @@ func TestRecorderLateRegistration(t *testing.T) {
 	h.EnableRecording(0)
 	c1 := h.Reg.Counter("early")
 	c1.Add(100)
-	h.Sampler.Sample(10)
+	h.Sample(10)
 
 	late := h.Reg.Counter("late")
 	late.Add(1_000_000) // accumulated before the next tick — not a window delta
 	late.Add(0)
-	h.Sampler.Sample(20)
+	h.Sample(20)
 	late.Add(50)
-	h.Sampler.Sample(30)
+	h.Sample(30)
 
-	rec := h.Sampler.Recorder()
+	rec := h.rec
 	var lateSeries SeriesData
 	for _, s := range rec.Series() {
 		if s.Name == "late" {
@@ -172,7 +179,7 @@ func TestRecorderDeterminism(t *testing.T) {
 		for cyc := uint64(10); cyc <= 5000; cyc += 10 {
 			g = float64(cyc % 97)
 			c.Add(cyc % 13)
-			h.Sampler.Sample(cyc)
+			h.Sample(cyc)
 		}
 		return h.RecordedSeries()
 	}
@@ -182,20 +189,19 @@ func TestRecorderDeterminism(t *testing.T) {
 	}
 }
 
-// TestSyncHubRecording: EnableRecording on a synchronized hub propagates to
-// forked children, and RecordedSeries merges them in (label, seq) order
-// under stable run names.
+// TestSyncHubRecording: EnableRecording on a hub propagates to forked
+// children, and RecordedSeries merges them in (label, seq) order under
+// stable run names.
 func TestSyncHubRecording(t *testing.T) {
-	h := NewSyncHub(10)
+	h := NewHub(10)
 	h.EnableRecording(0)
-	h.DisableRowCapture()
 
 	for _, label := range []string{"beta", "alpha"} {
 		child := h.ForRun(label)
 		c := child.Reg.Counter("n")
 		for cyc := uint64(10); cyc <= 30; cyc += 10 {
 			c.Add(10)
-			child.Sampler.Sample(cyc)
+			child.Sample(cyc)
 		}
 	}
 
@@ -219,52 +225,101 @@ func TestSyncHubRecording(t *testing.T) {
 	}
 }
 
-// TestDisableRowCaptureFixedMemory: with rows off, ticks accumulate in the
-// recorder but the unbounded row log stays empty.
-func TestDisableRowCaptureFixedMemory(t *testing.T) {
+// TestWriteSamplesJSONLMatchesRecordedSeries: the -metrics-out JSONL is the
+// recorder's series regrouped into cycle rows, point for point — across the
+// hub's own run and forked children, through downsampling, and with a
+// metric registered mid-run whose points fall on other cycles.
+func TestWriteSamplesJSONLMatchesRecordedSeries(t *testing.T) {
 	h := NewHub(10)
 	h.EnableRecording(16)
-	h.DisableRowCapture()
-	g := 1.0
-	h.Reg.Gauge("g", func() float64 { return g })
-	for cyc := uint64(10); cyc <= 1000; cyc += 10 {
-		h.Sampler.Sample(cyc)
+	drive := func(hub *Hub, ticks int) {
+		g := 0.0
+		hub.Reg.Gauge("q.occ", func() float64 { return g })
+		c := hub.Reg.Counter("bytes")
+		for i := 1; i <= ticks; i++ {
+			if i == ticks/3 {
+				hub.Reg.Rate("late.reqs").Add(7)
+			}
+			g = float64(i % 7)
+			c.Add(uint64(i))
+			hub.Sample(uint64(10 * i))
+		}
 	}
-	if len(h.Sampler.rows) != 0 {
-		t.Fatalf("row log has %d rows with row capture disabled", len(h.Sampler.rows))
+	drive(h, 50)
+	drive(h.ForRun("b"), 301)
+	drive(h.ForRun("a"), 77)
+
+	type key struct {
+		run, metric string
+		cycle       uint64
 	}
-	if h.Sampler.Len() != 100 {
-		t.Fatalf("Sampler.Len() = %d, want 100 ticks counted", h.Sampler.Len())
+	want := map[key]float64{}
+	for _, r := range h.RecordedSeries() {
+		for _, s := range r.Series {
+			for _, p := range s.Points {
+				want[key{r.Run, s.Name, p.Cycle}] = p.Val
+			}
+		}
 	}
-	if h.Sampler.Recorder().Len("g") == 0 {
-		t.Fatal("recorder captured nothing with rows off")
+	var b bytes.Buffer
+	if err := h.WriteSamplesJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := map[key]float64{}
+	var lastRun string
+	var lastCycle uint64
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		var row struct {
+			Run     string             `json:"run"`
+			Cycle   uint64             `json:"cycle"`
+			Metrics map[string]float64 `json:"metrics"`
+		}
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatalf("bad row %q: %v", line, err)
+		}
+		if row.Run == lastRun && row.Cycle <= lastCycle {
+			t.Fatalf("run %s: cycle %d after %d, want strictly increasing rows", row.Run, row.Cycle, lastCycle)
+		}
+		lastRun, lastCycle = row.Run, row.Cycle
+		for name, v := range row.Metrics {
+			k := key{row.Run, name, row.Cycle}
+			if _, dup := got[k]; dup {
+				t.Fatalf("point %+v written twice", k)
+			}
+			got[k] = v
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSONL holds %d points, RecordedSeries %d; they differ", len(got), len(want))
 	}
 }
 
 // TestRecorderTickZeroAllocs is the acceptance guard: once the metric cache
-// is warm, a probe tick must allocate nothing — recording is meant to ride
-// the engine hot path.
+// is warm, a probe tick through the hub's per-tick entry point (Hub.Sample)
+// must allocate nothing — on a hub used directly and on a forked run hub,
+// with recording on and off — because it rides the engine hot path.
 func TestRecorderTickZeroAllocs(t *testing.T) {
-	h := NewHub(10)
-	h.EnableRecording(64)
-	h.DisableRowCapture()
-	g := 0.0
-	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
-	c := h.Reg.Counter("unit.ops")
-	h.Reg.CounterFunc("unit.derived", func() uint64 { return c.Value() * 2 })
+	root := NewHub(10)
+	root.EnableRecording(64)
+	for _, h := range []*Hub{root, root.ForRun("run"), NewHub(10)} {
+		g := 0.0
+		h.Reg.Gauge("unit.occupancy", func() float64 { return g })
+		c := h.Reg.Counter("unit.ops")
+		h.Reg.CounterFunc("unit.derived", func() uint64 { return c.Value() * 2 })
 
-	cyc := uint64(0)
-	tick := func() {
-		cyc += 10
-		g = float64(cyc % 31)
-		c.Add(3)
-		h.Sampler.Sample(cyc)
-	}
-	tick() // warm the caches (first tick refreshes metric tables)
+		cyc := uint64(0)
+		tick := func() {
+			cyc += 10
+			g = float64(cyc % 31)
+			c.Add(3)
+			h.Sample(cyc)
+		}
+		tick() // warm the caches (first tick refreshes metric tables)
 
-	// Spans emission ticks and in-place downsampling, not just accumulation.
-	if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
-		t.Fatalf("Sample with recording = %.1f allocs/tick, want 0", allocs)
+		// Spans emission ticks and in-place downsampling, not just accumulation.
+		if allocs := testing.AllocsPerRun(1000, tick); allocs != 0 {
+			t.Fatalf("Hub.Sample (recording %v) = %.1f allocs/tick, want 0", h.rec != nil, allocs)
+		}
 	}
 }
 
@@ -273,17 +328,16 @@ func TestRecorderTickZeroAllocs(t *testing.T) {
 func BenchmarkRecorderTick(b *testing.B) {
 	h := NewHub(10)
 	h.EnableRecording(DefaultRecorderPoints)
-	h.DisableRowCapture()
 	g := 0.0
 	h.Reg.Gauge("unit.occupancy", func() float64 { return g })
 	c := h.Reg.Counter("unit.ops")
-	h.Sampler.Sample(10)
+	h.Sample(10)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g = float64(i)
 		c.Add(1)
-		h.Sampler.Sample(uint64(20 + 10*i))
+		h.Sample(uint64(20 + 10*i))
 	}
 }

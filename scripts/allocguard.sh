@@ -17,7 +17,7 @@ trap 'rm -f "$raw"' EXIT
 
 echo "== allocation sentinel: quick suite + image, cluster, and telemetry micro-benchmarks (1 iteration)"
 go test -run '^$' \
-    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkWallSpanOff$' \
+    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkWallSpanOff$|BenchmarkTelemetryMetrics$' \
     -benchmem -benchtime=1x . ./internal/cluster/ ./internal/telemetry/ | tee "$raw"
 
 if [ "${1:-}" = "-update" ]; then

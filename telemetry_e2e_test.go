@@ -15,11 +15,12 @@ func runInstrumented(t *testing.T) (*Telemetry, string, string, string) {
 	spec.LiveObjects /= 8
 	tel := NewTelemetry(256)
 	tel.EnableTrace()
+	tel.EnableRecording(0)
 	if _, err := RunInstrumented(cfg, spec, HWCollector, 1, 7, tel); err != nil {
 		t.Fatal(err)
 	}
 	var metrics, trace, summary bytes.Buffer
-	if err := tel.Sampler.WriteJSONL(&metrics); err != nil {
+	if err := tel.WriteSamplesJSONL(&metrics); err != nil {
 		t.Fatal(err)
 	}
 	if err := tel.Trace.WriteChrome(&trace); err != nil {
@@ -52,10 +53,16 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			t.Errorf("metric %s = 0 after a collection", name)
 		}
 	}
-	if tel.Sampler.Len() == 0 {
-		t.Fatal("sampler recorded no rows")
+	if v, _ := tel.Reg.Value("telemetry.sampler.samples"); v == 0 {
+		t.Fatal("probe never ticked")
 	}
-	if _, vals := tel.Sampler.Series("tracer.markqueue.occupancy"); len(vals) == 0 {
+	occupancy := false
+	for _, run := range tel.RecordedSeries() {
+		for _, s := range run.Series {
+			occupancy = occupancy || (s.Name == "tracer.markqueue.occupancy" && len(s.Points) > 0)
+		}
+	}
+	if !occupancy {
 		t.Fatal("no mark-queue occupancy series")
 	}
 
