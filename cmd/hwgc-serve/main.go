@@ -1,7 +1,8 @@
 // hwgc-serve exposes the experiment fleet as a long-running simulation
-// service: an HTTP/JSON API over a bounded job queue drained by a worker
-// pool, with every result stored in the content-addressed cache so
-// repeated cells are served without re-simulating. See docs/SERVICE.md.
+// service: an HTTP/JSON API over a bounded job queue, with every job run
+// through a cluster coordinator that serves repeated cells from the
+// content-addressed result cache and leases fresh ones to workers. See
+// docs/SERVICE.md.
 //
 // Usage:
 //
@@ -12,27 +13,26 @@
 //	hwgc-serve -ledger runs/           # append a run manifest per job
 //	hwgc-serve -pprof                  # expose /debug/pprof/
 //
-// Cluster mode turns the daemon into a coordinator: jobs are dispatched to
-// registered workers (cmd/hwgc-worker) through per-job leases instead of
-// running in-process, with the protocol endpoints mounted under
-// /cluster/v1/ on the same listener (see docs/SERVICE.md §5):
+// Cells simulate on -local-workers in-process workers (default: the
+// -workers value). The coordinator's protocol endpoints are always mounted
+// under /cluster/v1/ on the same listener, so remote workers
+// (cmd/hwgc-worker) can join any daemon and take leases too (see
+// docs/SERVICE.md §5):
 //
-//	hwgc-serve -cluster                          # coordinator; remote workers only
-//	hwgc-serve -cluster -cluster-local-workers 2 # plus 2 in-process loopback workers
-//	hwgc-serve -cluster -lease-ttl 2m            # slow cells need longer leases
-//	hwgc-serve -cluster -trace-spans 0           # disable distributed span recording
+//	hwgc-serve -local-workers 0        # remote workers only
+//	hwgc-serve -lease-ttl 2m           # slow cells need longer leases
+//	hwgc-serve -trace-spans 0          # disable distributed span recording
 //
-// In cluster mode every job carries a wall-clock trace: GET /cluster/v1/trace
-// exports the span buffer plus the control-plane flight recorder, and
+// Every job carries a wall-clock trace: GET /cluster/v1/trace exports the
+// span buffer plus the control-plane flight recorder, and
 // GET /cluster/v1/metrics serves federated cluster-wide Prometheus series
 // (see docs/OBSERVABILITY.md "Distributed tracing"). GET /healthz and
 // GET /readyz are liveness/readiness probes (-log-format {text,json} picks
 // the structured log encoding).
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: in-flight jobs finish
-// (bounded by -drain-timeout, then cancelled; in cluster mode leased jobs
-// complete or re-queue before the listener closes), new submissions get
-// 503, and the process exits 0.
+// (bounded by -drain-timeout, then cancelled; leased jobs complete before
+// the listener closes), new submissions get 503, and the process exits 0.
 //
 //	curl -s localhost:8077/v1/experiments
 //	curl -s -X POST localhost:8077/v1/jobs \
@@ -48,7 +48,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -56,7 +55,6 @@ import (
 	"time"
 
 	"hwgc/internal/cluster"
-	"hwgc/internal/experiments"
 	"hwgc/internal/ledger"
 	"hwgc/internal/resultcache"
 	"hwgc/internal/service"
@@ -65,7 +63,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size: jobs in flight at once")
 	queue := flag.Int("queue", 64, "max queued jobs; submissions past this get 503")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline (0 = none)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory result cache entries (0 = default)")
@@ -74,17 +72,15 @@ func main() {
 		"how long in-flight jobs may keep running after SIGINT/SIGTERM before being cancelled")
 	ledgerDir := flag.String("ledger", "", "append one run manifest per finished job under this directory")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	clusterOn := flag.Bool("cluster", false,
-		"coordinator mode: dispatch jobs to cluster workers (hwgc-worker) via /cluster/v1/ leases")
-	localWorkers := flag.Int("cluster-local-workers", 0,
-		"with -cluster: also run this many in-process loopback workers")
+	localWorkers := flag.Int("local-workers", 0,
+		"in-process workers simulating cells (default: the -workers value; 0 = remote hwgc-worker processes only)")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second,
-		"with -cluster: lease validity window; expired leases re-queue the job")
+		"lease validity window; expired leases re-queue the job")
 	retain := flag.Int("retain", 0,
 		"finished jobs kept before eviction (later lookups get 410; 0 = default 4096, negative = unlimited)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	traceSpans := flag.Int("trace-spans", telemetry.DefaultMaxSpans,
-		"with -cluster: wall-span recorder capacity for distributed tracing (0 disables span recording)")
+		"wall-span recorder capacity for distributed tracing (0 disables span recording)")
 	flag.Parse()
 
 	logger, err := telemetry.NewLogger(*logFormat, os.Stderr)
@@ -108,77 +104,48 @@ func main() {
 		}
 	}
 
-	// The hub carries service, cache, and cluster metrics for /v1/metrics
-	// and /metrics. Simulations are not instrumented: nothing would read it.
-	hub := telemetry.NewHub(0)
+	var spans *telemetry.WallSpans
+	if *traceSpans > 0 {
+		spans = &telemetry.WallSpans{MaxSpans: *traceSpans}
+	}
+	// The coordinator's hub carries service, cache, and cluster metrics for
+	// /v1/metrics and /metrics. Simulations are not instrumented: nothing
+	// would read it.
+	coord := cluster.NewCoordinator(cluster.Config{
+		LeaseTTL: *leaseTTL,
+		Cache:    cache,
+		Spans:    spans,
+		Log:      logger,
+	})
 
-	svcCfg := service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		JobTimeout:     *jobTimeout,
-		Cache:          cache,
-		Hub:            hub,
-		Ledger:         store,
-		RetainFinished: *retain,
+	// -local-workers defaults to -workers; an explicit 0 means none, which
+	// the scheduler spells as a negative count.
+	local := *workers
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "local-workers" {
+			local = *localWorkers
+		}
+	})
+	if local == 0 {
+		local = -1
 	}
 
-	// Cluster mode: a coordinator owns dispatch (the scheduler's worker
-	// pool blocks on remote completion), its protocol endpoints mount on
-	// the same listener, and its per-worker series append to /metrics.
-	var coord *cluster.Coordinator
-	var pool *cluster.LoopbackPool
-	if *clusterOn {
-		var spans *telemetry.WallSpans
-		if *traceSpans > 0 {
-			spans = &telemetry.WallSpans{MaxSpans: *traceSpans}
-		}
-		coord = cluster.NewCoordinator(cluster.Config{
-			LeaseTTL: *leaseTTL,
-			Cache:    cache,
-			Hub:      hub,
-			Spans:    spans,
-			Log:      logger,
-		})
-		// The service deliberately does not import the cluster package; the
-		// two outcome structs are field-identical, so the adapter is a
-		// conversion.
-		svcCfg.Dispatch = func(ctx context.Context, experiment string, o experiments.Options) (service.DispatchResult, error) {
-			out, err := coord.Dispatch(ctx, experiment, o)
-			return service.DispatchResult(out), err
-		}
-		svcCfg.PromAppend = coord.WritePrometheus
-		if *localWorkers > 0 {
-			pool, err = cluster.StartLoopbackWorkers(coord, *localWorkers, cluster.WorkerConfig{
-				Name: "local",
-				Log:  logger,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	sched := service.New(svcCfg)
 	d := &service.Daemon{
-		Addr:         *addr,
-		Scheduler:    sched,
-		Hub:          hub,
+		Addr: *addr,
+		Scheduler: service.New(service.Config{
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			JobTimeout:     *jobTimeout,
+			Coordinator:    coord,
+			LocalWorkers:   local,
+			Ledger:         store,
+			RetainFinished: *retain,
+		}),
 		EnablePprof:  *pprofOn,
 		DrainTimeout: *drainTimeout,
 		Logf: func(format string, args ...any) {
 			logger.Info(fmt.Sprintf(format, args...))
 		},
-	}
-	if coord != nil {
-		d.ExtraMounts = map[string]http.Handler{"/cluster/v1/": cluster.NewHTTPHandler(coord)}
-		d.OnDrain = func(ctx context.Context) {
-			_ = coord.Drain(ctx)
-			if pool != nil {
-				_ = pool.Stop()
-			}
-			coord.Close()
-		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -1,5 +1,5 @@
-// hwgc-worker is the cluster compute daemon: it registers with an
-// hwgc-serve coordinator (-cluster), polls for per-job leases, runs the
+// hwgc-worker is the cluster compute daemon: it registers with any
+// hwgc-serve daemon (its coordinator), polls for per-job leases, runs the
 // leased experiment cells locally, and reports results back over the
 // versioned HTTP/JSON wire protocol. See docs/SERVICE.md §5.
 //

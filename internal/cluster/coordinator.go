@@ -8,7 +8,9 @@ package cluster
 // Invariants:
 //
 //   - A job is in exactly one of: the pending queue, the lease table (via
-//     one active lease), or a terminal state.
+//     one active lease), or a terminal state. Terminal jobs leave the job
+//     table, so it holds only open work and stays bounded however long
+//     the coordinator runs.
 //   - A job's result commits at most once. The first valid Complete wins;
 //     every later completion for the same job is dropped with
 //     Committed=false. Because attempts share the job's content-addressed
@@ -62,8 +64,9 @@ type Config struct {
 	// without dispatching) and receives every committed result, keyed by
 	// the job's content address.
 	Cache *resultcache.Cache
-	// Hub, when set, receives the coordinator's aggregate metrics on its
-	// registry at construction; per-worker series are exposed through
+	// Hub receives the coordinator's aggregate metrics and the cache's
+	// counters on its registry at construction (nil means a private hub;
+	// see Coordinator.Hub). Per-worker series are exposed through
 	// WritePrometheus (worker names arrive too late to register safely).
 	Hub *telemetry.Hub
 	// Spans, when set, turns on distributed tracing: every submitted job is
@@ -183,14 +186,16 @@ type workerState struct {
 // Coordinator owns the cluster control plane.
 type Coordinator struct {
 	cfg    Config
+	hub    *telemetry.Hub
 	byID   map[string]experiments.Runner
 	ids    []string
 	flight *FlightRecorder
 
 	mu       sync.Mutex
 	rng      *rand.Rand
-	jobs     map[string]*Job
-	pending  []*Job // FIFO by submission; notBefore gates readiness
+	jobs     map[string]*Job // open (pending or leased) jobs only
+	pending  []*Job          // FIFO by submission; notBefore gates readiness
+	wake     chan struct{}   // closed and replaced whenever a job is queued
 	leases   map[string]*lease
 	workers  map[string]*workerState
 	affinity map[string]string // affinity key -> worker ID owning its images
@@ -248,6 +253,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		leases:   make(map[string]*lease),
 		workers:  make(map[string]*workerState),
 		affinity: make(map[string]string),
+		wake:     make(chan struct{}),
 		stop:     make(chan struct{}),
 		stopped:  make(chan struct{}),
 	}
@@ -256,15 +262,30 @@ func NewCoordinator(cfg Config) *Coordinator {
 		c.ids = append(c.ids, r.ID)
 	}
 	sort.Strings(c.ids)
-	if cfg.Hub != nil {
-		c.attachTelemetry(cfg.Hub)
+	c.hub = cfg.Hub
+	if c.hub == nil {
+		c.hub = telemetry.NewHub(0)
 	}
+	c.attachTelemetry(c.hub)
 	go c.janitor()
 	return c
 }
 
+// Hub returns the hub carrying the coordinator's metrics: Config.Hub, or
+// the coordinator's own when none was supplied. Never nil.
+func (c *Coordinator) Hub() *telemetry.Hub { return c.hub }
+
 // ExperimentIDs returns the served runner IDs, sorted.
 func (c *Coordinator) ExperimentIDs() []string { return append([]string(nil), c.ids...) }
+
+// Runners returns the served runner table, sorted by ID.
+func (c *Coordinator) Runners() []experiments.Runner {
+	out := make([]experiments.Runner, 0, len(c.ids))
+	for _, id := range c.ids {
+		out = append(out, c.byID[id])
+	}
+	return out
+}
 
 // Close stops the janitor. Idempotent; call after Drain.
 func (c *Coordinator) Close() {
@@ -274,8 +295,8 @@ func (c *Coordinator) Close() {
 
 // Submit enqueues one job. A configured cache is consulted first: a hit
 // completes the job immediately without dispatching. beat, when non-nil,
-// receives the remote worker's heartbeat-reported simulated cycles, so
-// in-process progress probes keep working for distributed cells.
+// receives the job's simulated cycles: an in-process worker drives it
+// directly, a remote one through its heartbeats.
 func (c *Coordinator) Submit(spec JobSpec, beat *telemetry.Beat) (*Job, error) {
 	if _, ok := c.byID[spec.Experiment]; !ok {
 		return nil, fmt.Errorf("%w: %q (valid: %v)", ErrUnknownExperiment, spec.Experiment, c.ids)
@@ -291,6 +312,10 @@ func (c *Coordinator) Submit(spec JobSpec, beat *telemetry.Beat) (*Job, error) {
 				}
 			}
 		}
+	}
+	if hit == nil && spec.Affinity == "" {
+		// Only a job that will be leased needs its affinity key.
+		spec.Affinity = experiments.AffinityKey(spec.Experiment, spec.Options)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -328,7 +353,23 @@ func (c *Coordinator) Submit(spec JobSpec, beat *telemetry.Beat) (*Job, error) {
 		return job, nil
 	}
 	c.pending = append(c.pending, job)
+	c.wakeLocked()
 	return job, nil
+}
+
+// wakeLocked tells idle in-process workers that a job was queued, so they
+// lease it at once instead of at their next poll. Caller holds c.mu.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// wakeup returns a channel that is closed the next time a job is queued.
+// Take it before polling Lease, so a job queued in between is not missed.
+func (c *Coordinator) wakeup() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.wake
 }
 
 // Register adds a worker after protocol, build, and capability validation.
@@ -505,24 +546,22 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		TTLMS:   c.cfg.LeaseTTL.Milliseconds(),
 		Attempt: job.attempt,
 		SpanID:  job.attemptSpan,
+		beat:    job.beat,
 	}}, nil
 }
 
 // Complete commits a finished lease's result — at most once per job. The
 // first valid completion wins even if its lease already expired (the
 // result is content-addressed, so it is exactly what a retry would have
-// produced); anything arriving after a commit or a cancellation is
-// dropped with Committed=false.
+// produced); anything arriving after a commit or a cancellation — when
+// the job has left the table — is dropped with Committed=false.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	job, ok := c.jobs[req.JobID]
-	if !ok || job.state == JobSucceeded || job.state == JobFailed || job.state == JobCancelled {
-		if ok {
-			c.duplicateDrop++
-			c.flight.Record(FlightEvent{Kind: "duplicate.drop", JobID: req.JobID,
-				TraceID: job.traceID, WorkerID: req.WorkerID, LeaseID: req.LeaseID,
-				Detail: string(job.state)})
-		}
+	if !ok {
+		c.duplicateDrop++
+		c.flight.Record(FlightEvent{Kind: "duplicate.drop", JobID: req.JobID,
+			WorkerID: req.WorkerID, LeaseID: req.LeaseID})
 		c.mu.Unlock()
 		return CompleteResponse{Committed: false}, nil
 	}
@@ -586,14 +625,16 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.flight.Record(FlightEvent{Kind: "commit", JobID: job.spec.ID, TraceID: job.traceID,
 		WorkerID: req.WorkerID, LeaseID: req.LeaseID, Attempt: job.attempt,
 		Detail: workerName})
-	c.finishLocked(job, JobSucceeded, "")
-	c.mu.Unlock()
 	if c.cfg.Cache != nil {
 		if key, ok := parseCacheKey(job.spec.CacheKey); ok {
-			// Best-effort: a failed cache write only loses reuse.
+			// Stored before the job's waiters wake, so the same cell
+			// submitted right after Done is a hit. Best-effort: a failed
+			// cache write only loses reuse.
 			_ = c.cfg.Cache.Put(key, job.report)
 		}
 	}
+	c.finishLocked(job, JobSucceeded, "")
+	c.mu.Unlock()
 	return CompleteResponse{Committed: true}, nil
 }
 
@@ -616,6 +657,12 @@ func (c *Coordinator) retryLocked(job *Job, reason string) {
 	job.errMsg = reason
 	c.pending = append(c.pending, job)
 	c.retriesTotal++
+	// Wake idle in-process workers once the backoff has passed.
+	time.AfterFunc(d, func() {
+		c.mu.Lock()
+		c.wakeLocked()
+		c.mu.Unlock()
+	})
 	if job.traceID != "" {
 		// The backoff sleep is a first-class span: in the waterfall it
 		// separates "waiting by policy" from "waiting for a free worker"
@@ -651,9 +698,10 @@ func (c *Coordinator) backoffLocked(attempt int) time.Duration {
 	return d
 }
 
-// finishLocked moves a job to a terminal state and publishes its result.
-// Caller holds c.mu.
+// finishLocked moves a job to a terminal state, drops it from the job
+// table, and publishes its result. Caller holds c.mu.
 func (c *Coordinator) finishLocked(job *Job, st JobState, errMsg string) {
+	delete(c.jobs, job.spec.ID)
 	job.state = st
 	if errMsg != "" {
 		job.errMsg = errMsg
@@ -752,10 +800,14 @@ func (c *Coordinator) removePendingLocked(job *Job) {
 func (c *Coordinator) Cancel(jobID string, reason string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	job, ok := c.jobs[jobID]
-	if !ok || job.state == JobSucceeded || job.state == JobFailed || job.state == JobCancelled {
-		return
+	if job, ok := c.jobs[jobID]; ok {
+		c.cancelLocked(job, reason)
 	}
+}
+
+// cancelLocked terminates an open job, dropping its queue entry or lease.
+// Caller holds c.mu.
+func (c *Coordinator) cancelLocked(job *Job, reason string) {
 	c.removePendingLocked(job)
 	for _, l := range c.leases {
 		if l.job == job {
@@ -858,13 +910,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	defer t.Stop()
 	for {
 		c.mu.Lock()
-		open := 0
-		for _, job := range c.jobs {
-			switch job.state {
-			case JobPending, JobLeased:
-				open++
-			}
-		}
+		open := len(c.jobs)
 		c.mu.Unlock()
 		if open == 0 {
 			return nil
@@ -873,20 +919,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		case <-ctx.Done():
 			c.mu.Lock()
 			for _, job := range c.jobs {
-				switch job.state {
-				case JobPending, JobLeased:
-					c.removePendingLocked(job)
-					for _, l := range c.leases {
-						if l.job == job {
-							c.dropLeaseLocked(l)
-							break
-						}
-					}
-					c.endAttemptLocked(job, job.worker, "cancelled")
-					c.flight.Record(FlightEvent{Kind: "cancel", JobID: job.spec.ID,
-						TraceID: job.traceID, Attempt: job.attempt, Detail: "coordinator drain deadline"})
-					c.finishLocked(job, JobCancelled, "coordinator drain deadline")
-				}
+				c.cancelLocked(job, "coordinator drain deadline")
 			}
 			c.mu.Unlock()
 			return nil
@@ -895,33 +928,14 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	}
 }
 
-// DispatchOutcome is one dispatched cell's committed result with its
-// attribution and trace context.
-type DispatchOutcome struct {
-	// Report is the JSON-encoded experiments.Report.
-	Report []byte
-	// Worker names the worker whose result committed ("" for coordinator
-	// cache hits); CacheHit marks a result served from a cache.
-	Worker   string
-	CacheHit bool
-	// Attempts is the number of lease grants consumed; Retries how many
-	// times the job re-queued.
-	Attempts int
-	Retries  int
-	// TraceID and Spans are the job's distributed trace ("" / nil when
-	// tracing is off).
-	TraceID string
-	Spans   []telemetry.Span
-}
-
-// Dispatch submits one cell and waits for its committed result — the
-// shape the service scheduler's Dispatch hook expects (cmd/hwgc-serve
-// adapts it). The options' Beat (when set) receives remote progress. On
-// ctx expiry the job is cancelled and ctx.Err() returned.
-func (c *Coordinator) Dispatch(ctx context.Context, experiment string, o experiments.Options) (DispatchOutcome, error) {
-	job, err := c.Submit(NewJobSpec(experiment, o), o.Beat)
+// Dispatch submits one cell and waits for its terminal result, whose
+// attribution and trace fields are set whatever the outcome. On ctx expiry
+// the job is cancelled and ctx.Err() returned; a failed or otherwise
+// cancelled job returns an error carrying its reason.
+func (c *Coordinator) Dispatch(ctx context.Context, spec JobSpec, beat *telemetry.Beat) (JobResult, error) {
+	job, err := c.Submit(spec, beat)
 	if err != nil {
-		return DispatchOutcome{}, err
+		return JobResult{}, err
 	}
 	select {
 	case <-job.Done():
@@ -930,25 +944,16 @@ func (c *Coordinator) Dispatch(ctx context.Context, experiment string, o experim
 		<-job.Done()
 	}
 	res := job.Result()
-	out := DispatchOutcome{
-		Worker:   res.Worker,
-		Attempts: res.Attempts,
-		Retries:  res.Retries,
-		TraceID:  res.TraceID,
-		Spans:    res.Spans,
-	}
 	switch res.State {
 	case JobSucceeded:
-		out.Report = res.Report
-		out.CacheHit = res.CacheHit
-		return out, nil
+		return res, nil
 	case JobCancelled:
 		if ctx.Err() != nil {
-			return out, ctx.Err()
+			return res, ctx.Err()
 		}
-		return out, fmt.Errorf("cluster: job %s cancelled: %s", job.ID(), res.Err)
+		return res, fmt.Errorf("cluster: job %s cancelled: %s", job.ID(), res.Err)
 	default:
-		return out, fmt.Errorf("cluster: job %s failed: %s", job.ID(), res.Err)
+		return res, fmt.Errorf("cluster: job %s failed: %s", job.ID(), res.Err)
 	}
 }
 

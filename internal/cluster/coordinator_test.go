@@ -608,7 +608,7 @@ func TestDispatchCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Dispatch(ctx, "a", experiments.QuickOptions())
+		_, err := c.Dispatch(ctx, NewJobSpec("a", experiments.QuickOptions()), nil)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -646,5 +646,66 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	}
 	if prevMax > time.Second {
 		t.Fatalf("backoff exceeded RetryMax: %s", prevMax)
+	}
+}
+
+// TestJobTableEmptiesAfterTerminalStates: every terminal path — commit,
+// cache hit, exhausted attempts, cancellation — drops the job from the
+// table, so a long-lived coordinator holds only open work, and a late
+// completion for a dropped job still counts as a duplicate.
+func TestJobTableEmptiesAfterTerminalStates(t *testing.T) {
+	cache, err := resultcache.New(64, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCoordinator(t, Config{LeaseTTL: time.Hour, MaxAttempts: 1, Cache: cache})
+	w := register(t, c, "w")
+	const n = 5
+	var last *Lease
+	for i := 0; i < n; i++ {
+		o := experiments.Options{Seed: uint64(i + 1)}
+		if _, err := c.Submit(NewJobSpec("a", o), nil); err != nil {
+			t.Fatal(err)
+		}
+		last = mustLease(t, c, w.WorkerID)
+		if _, err := c.Complete(CompleteRequest{WorkerID: w.WorkerID, LeaseID: last.ID,
+			JobID: last.Job.ID, Report: encodedReport(t, "a")}); err != nil {
+			t.Fatal(err)
+		}
+		if hit, err := c.Submit(NewJobSpec("a", o), nil); err != nil || !hit.Result().CacheHit {
+			t.Fatalf("resubmission: err %v, want a cache hit", err)
+		}
+		if _, err := c.Submit(NewJobSpec("b", o), nil); err != nil {
+			t.Fatal(err)
+		}
+		failing := mustLease(t, c, w.WorkerID)
+		if _, err := c.Complete(CompleteRequest{WorkerID: w.WorkerID, LeaseID: failing.ID,
+			JobID: failing.Job.ID, Error: "boom"}); err != nil {
+			t.Fatal(err)
+		}
+		cancelled, err := c.Submit(NewJobSpec("a", experiments.Options{Seed: uint64(100 + i)}), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Cancel(cancelled.ID(), "test")
+	}
+	c.mu.Lock()
+	open := len(c.jobs)
+	c.mu.Unlock()
+	if open != 0 {
+		t.Fatalf("job table holds %d entries after %d terminal jobs, want 0", open, 4*n)
+	}
+	st := c.Status()
+	if st.Completed != 2*n || st.Failed != n || st.Cancelled != n {
+		t.Fatalf("status = %+v, want %d completed, %d failed, %d cancelled", st, 2*n, n, n)
+	}
+
+	resp, err := c.Complete(CompleteRequest{WorkerID: w.WorkerID, LeaseID: last.ID,
+		JobID: last.Job.ID, Report: encodedReport(t, "a")})
+	if err != nil || resp.Committed {
+		t.Fatalf("late completion: committed=%v err=%v, want dropped", resp.Committed, err)
+	}
+	if st := c.Status(); st.DuplicateDrop != 1 {
+		t.Fatalf("duplicate drops = %d, want 1", st.DuplicateDrop)
 	}
 }

@@ -1,9 +1,9 @@
 package cluster
 
 // The loopback transport: workers in the coordinator's own process, bound
-// with direct function calls (*Coordinator implements Client). Single-node
-// cluster mode and every cluster test run through this — identical code
-// paths to the wire, minus HTTP.
+// with direct function calls (*Coordinator implements Client). Every
+// hwgc-serve cell simulated in-process and every cluster test run through
+// this — identical code paths to the wire, minus HTTP.
 
 import (
 	"context"
@@ -24,9 +24,16 @@ type LoopbackPool struct {
 // StartLoopbackWorkers launches n in-process workers against c. base
 // parameterizes every worker (Client and Name are overridden per worker;
 // Name gets a "-N" suffix when base.Name is set, "loopback-N" otherwise).
+// Unset Runners and Log default to the coordinator's.
 func StartLoopbackWorkers(c *Coordinator, n int, base WorkerConfig) (*LoopbackPool, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &LoopbackPool{cancel: cancel}
+	if base.Runners == nil {
+		base.Runners = c.Runners()
+	}
+	if base.Log == nil {
+		base.Log = c.cfg.Log
+	}
 	for i := 0; i < n; i++ {
 		cfg := base
 		cfg.Client = c

@@ -68,7 +68,9 @@ type JobSpec struct {
 	// Affinity fingerprints the snapshot-store heap images the cell
 	// instantiates (experiments.AffinityKey). Jobs sharing it are routed to
 	// the same worker so copy-on-write image clones keep paying off across
-	// the wire; empty means no affinity preference.
+	// the wire; empty means no affinity preference. Submit derives it when
+	// the job misses the cache and goes pending, so a cache hit never pays
+	// for it.
 	Affinity string `json:"affinity,omitempty"`
 	// TraceID is the job's distributed trace context and SpanID its root
 	// span. Both are assigned by the coordinator when span recording is on
@@ -79,13 +81,12 @@ type JobSpec struct {
 }
 
 // NewJobSpec builds the spec for one experiment cell, deriving the cache
-// and affinity keys from the runner ID and options.
+// key from the runner ID and options (Submit adds the affinity key).
 func NewJobSpec(experiment string, o experiments.Options) JobSpec {
 	return JobSpec{
 		Experiment: experiment,
 		Options:    o,
 		CacheKey:   experiments.CellKey(experiment, o).String(),
-		Affinity:   experiments.AffinityKey(experiment, o),
 	}
 }
 
@@ -154,6 +155,11 @@ type Lease struct {
 	// SpanID is the coordinator-side span for this attempt; worker-side
 	// spans parent under it. Empty when tracing is disabled.
 	SpanID string `json:"spanId,omitempty"`
+
+	// beat is the job's own progress heartbeat. It never crosses the wire:
+	// an in-process (loopback) worker drives it directly, so progress is
+	// live; a remote worker reports cycles on its heartbeat instead.
+	beat *telemetry.Beat
 }
 
 // LeaseResponse carries the granted lease; a nil Lease means no work is

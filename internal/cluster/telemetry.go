@@ -22,8 +22,9 @@ import (
 	"hwgc/internal/telemetry"
 )
 
-// attachTelemetry registers the coordinator's aggregate metrics. All reads
-// take c.mu, so they are safe from any goroutine.
+// attachTelemetry registers the coordinator's aggregate metrics and its
+// result cache's counters. All reads take a lock (c.mu or the cache's), so
+// they are safe from any goroutine.
 func (c *Coordinator) attachTelemetry(h *telemetry.Hub) {
 	reg := h.Registry()
 	if reg == nil {
@@ -59,6 +60,9 @@ func (c *Coordinator) attachTelemetry(h *telemetry.Hub) {
 	reg.Gauge("cluster.jobs.pending", gauge(func() float64 { return float64(len(c.pending)) }))
 	reg.Gauge("cluster.leases.active", gauge(func() float64 { return float64(len(c.leases)) }))
 	reg.Gauge("cluster.workers.connected", gauge(func() float64 { return float64(len(c.workers)) }))
+	if c.cfg.Cache != nil {
+		c.cfg.Cache.AttachTelemetry(h)
+	}
 }
 
 // WorkerStatus is one registered worker in a Status snapshot.
@@ -176,8 +180,8 @@ var perWorkerFamilies = []struct {
 //	hwgc_cluster_worker_completed{worker="lab-2"} 13
 //
 // Output is deterministic (families in catalog order, workers sorted by
-// name). Intended to be appended after the registry exposition — the
-// service's PromAppend hook.
+// name). The service appends it after the registry exposition on
+// GET /metrics.
 func (c *Coordinator) WritePrometheus(w io.Writer) error {
 	return c.writeWorkerFamilies(w, c.Status())
 }

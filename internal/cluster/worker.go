@@ -35,7 +35,9 @@ type WorkerConfig struct {
 	// Cache, when set, serves cells from the worker's local result cache
 	// and stores fresh results back (the completion is flagged CacheHit).
 	Cache *resultcache.Cache
-	// PollEvery is the idle lease-poll interval (<= 0 means 200ms).
+	// PollEvery is the idle lease-poll interval (<= 0 means 200ms). A
+	// worker bound to an in-process *Coordinator is also woken the moment
+	// a job is queued, so only remote workers wait out the interval.
 	PollEvery time.Duration
 	// Log, when set, receives structured worker events (registration,
 	// lease/completion failures) with worker/job fields.
@@ -44,9 +46,10 @@ type WorkerConfig struct {
 
 // Worker runs the lease-execute-complete loop against a coordinator.
 type Worker struct {
-	cfg  WorkerConfig
-	byID map[string]experiments.Runner
-	ids  []string
+	cfg   WorkerConfig
+	byID  map[string]experiments.Runner
+	ids   []string
+	local *Coordinator // cfg.Client when it is in-process, else nil
 
 	mu       sync.Mutex
 	workerID string
@@ -77,6 +80,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		inflight: make(map[string]*telemetry.Beat),
 		killed:   make(chan struct{}),
 	}
+	w.local, _ = cfg.Client.(*Coordinator)
 	for _, r := range runners {
 		w.byID[r.ID] = r
 		w.ids = append(w.ids, r.ID)
@@ -196,7 +200,9 @@ func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 func (w *Worker) heartbeat(ctx context.Context) {
 	w.mu.Lock()
 	req := HeartbeatRequest{WorkerID: w.workerID}
-	if len(w.inflight) > 0 {
+	// In-process leases drive the jobs' own beats; mirroring a stale read
+	// back with Set would only roll them back.
+	if w.local == nil && len(w.inflight) > 0 {
 		req.Progress = make(map[string]uint64, len(w.inflight))
 		for leaseID, beat := range w.inflight {
 			req.Progress[leaseID] = beat.Cycles()
@@ -227,6 +233,10 @@ func (w *Worker) slotLoop(ctx context.Context) error {
 		w.mu.Lock()
 		id := w.workerID
 		w.mu.Unlock()
+		var wake <-chan struct{} // nil (never ready) for remote workers
+		if w.local != nil {
+			wake = w.local.wakeup()
+		}
 		resp, err := w.cfg.Client.Lease(LeaseRequest{WorkerID: id})
 		if err != nil {
 			if errors.Is(err, ErrUnknownWorker) {
@@ -243,6 +253,7 @@ func (w *Worker) slotLoop(ctx context.Context) error {
 				return nil
 			case <-w.killed:
 				return nil
+			case <-wake:
 			case <-time.After(w.cfg.PollEvery):
 			}
 			continue
@@ -265,7 +276,12 @@ func (w *Worker) execute(l *Lease) {
 		return
 	}
 
-	beat := &telemetry.Beat{}
+	// An in-process lease carries the job's own heartbeat, so progress is
+	// live; a remote worker reports its private beat on the heartbeat.
+	beat := l.beat
+	if beat == nil {
+		beat = &telemetry.Beat{}
+	}
 	w.mu.Lock()
 	w.inflight[l.ID] = beat
 	w.mu.Unlock()

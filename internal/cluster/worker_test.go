@@ -45,6 +45,115 @@ func TestLoopbackPoolRunsJobs(t *testing.T) {
 	}
 }
 
+// TestLoopbackWorkerWakesOnEnqueue: an idle in-process worker leases a
+// job the moment it is queued instead of at its next poll — with an
+// hour-long poll interval, only the wake-up can get the job committed.
+func TestLoopbackWorkerWakesOnEnqueue(t *testing.T) {
+	c := testCoordinator(t, Config{LeaseTTL: time.Hour})
+	pool, err := StartLoopbackWorkers(c, 1, WorkerConfig{
+		Runners:   c.cfg.Runners,
+		PollEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+	// Let the worker register and find the queue empty, so it is idle.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(c.Status().Workers) == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+
+	job, err := c.Submit(NewJobSpec("a", experiments.QuickOptions()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle loopback worker never woke for the queued job")
+	}
+	if res := job.Result(); res.State != JobSucceeded || res.Worker != "loopback-0" {
+		t.Fatalf("result = %+v, want success committed by loopback-0", res)
+	}
+}
+
+// TestLoopbackLeaseDrivesJobBeat: an in-process lease runs the cell on the
+// submitter's own heartbeat, so progress is live without waiting for a
+// worker heartbeat (an hour apart here).
+func TestLoopbackLeaseDrivesJobBeat(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	parked := experiments.Runner{ID: "p", Title: "parks after beating",
+		Run: func(o experiments.Options) (experiments.Report, error) {
+			o.Beat.Add(4321)
+			<-release
+			return experiments.Report{ID: "p"}, nil
+		}}
+	c := testCoordinator(t, Config{
+		Runners:        []experiments.Runner{parked},
+		LeaseTTL:       time.Hour,
+		HeartbeatEvery: time.Hour,
+	})
+	pool, err := StartLoopbackWorkers(c, 1, WorkerConfig{PollEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		pool.Kill(0) // the runner is still parked
+		_ = pool.Stop()
+	}()
+	beat := &telemetry.Beat{}
+	if _, err := c.Submit(NewJobSpec("p", experiments.QuickOptions()), beat); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for beat.Cycles() != 4321 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job beat = %d, want 4321 while the lease runs", beat.Cycles())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLoopbackHeartbeatKeepsJobBeat: heartbeats from an in-process worker
+// must not mirror a stale read back into the job's beat it is driving, or
+// cycles added in between are lost.
+func TestLoopbackHeartbeatKeepsJobBeat(t *testing.T) {
+	const steps = 200
+	stepper := experiments.Runner{ID: "s", Title: "beats in steps",
+		Run: func(o experiments.Options) (experiments.Report, error) {
+			for i := 0; i < steps; i++ {
+				o.Beat.Add(1)
+				time.Sleep(50 * time.Microsecond)
+			}
+			return experiments.Report{ID: "s"}, nil
+		}}
+	c := testCoordinator(t, Config{
+		Runners:        []experiments.Runner{stepper},
+		LeaseTTL:       time.Hour,
+		HeartbeatEvery: time.Millisecond,
+		WorkerExpiry:   time.Hour,
+	})
+	pool, err := StartLoopbackWorkers(c, 1, WorkerConfig{PollEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+	beat := &telemetry.Beat{}
+	job, err := c.Submit(NewJobSpec("s", experiments.QuickOptions()), beat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := job.Result(); res.State != JobSucceeded {
+		t.Fatalf("result = %+v", res)
+	}
+	if got := beat.Cycles(); got != steps {
+		t.Fatalf("job beat = %d after the run, want %d", got, steps)
+	}
+}
+
 // TestLoopbackFleetTelemetry: Options.Tel reaches cells executed by
 // in-process loopback workers — a loopback lease hands the submitted
 // options over by value, while the JSON wire drops the hub — so a 2-worker

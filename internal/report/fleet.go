@@ -322,7 +322,7 @@ func RenderTrace(raw []byte, source string) ([]byte, error) {
 		})
 	} else {
 		b.WriteString(`<p class="notice">No spans in this export. ` +
-			`Run the coordinator with span recording enabled (hwgc-serve -cluster, -trace-spans &gt; 0).</p>` + "\n")
+			`Run the coordinator with span recording enabled (hwgc-serve -trace-spans &gt; 0).</p>` + "\n")
 	}
 
 	// Flight-recorder timeline: what the control plane just did, newest

@@ -1,8 +1,9 @@
 package service
 
-// Cluster-mode service tests: the Dispatch hook routing jobs to a
-// coordinator, finished-job eviction (410 vs 404), and the daemon's
-// graceful drain while leased cluster jobs are in flight.
+// Coordinator-path service tests: attribution and retries through the
+// in-process workers, finished-job eviction (410 vs 404), the daemon's
+// graceful drain while a leased job is in flight, and a remote worker
+// joining a default daemon over /cluster/v1/.
 
 import (
 	"context"
@@ -10,82 +11,108 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hwgc/internal/cluster"
 	"hwgc/internal/experiments"
-	"hwgc/internal/telemetry"
+	"hwgc/internal/resultcache"
 )
 
+// TestSchedulerDispatchMode pins attribution: a cold cell is committed by
+// an in-process worker after one lease grant, and the repeat is a
+// coordinator cache hit that never reaches a worker.
 func TestSchedulerDispatchMode(t *testing.T) {
-	rep, err := experiments.EncodeReport(experiments.Report{ID: "fast", Rows: []string{"remote row"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var runs atomic.Int32
 	fast := experiments.Runner{
 		ID: "fast", Title: "dispatched",
 		Run: func(o experiments.Options) (experiments.Report, error) {
-			return experiments.Report{}, errors.New("must not run locally in dispatch mode")
+			runs.Add(1)
+			return experiments.Report{ID: "fast", Rows: []string{"local row"}}, nil
 		},
 	}
-	dispatched := 0
+	rep, err := experiments.EncodeReport(experiments.Report{ID: "fast", Rows: []string{"local row"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := resultcache.New(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(Config{
-		Workers: 1,
-		Runners: []experiments.Runner{fast},
-		Dispatch: func(ctx context.Context, experiment string, o experiments.Options) (DispatchResult, error) {
-			dispatched++
-			if experiment != "fast" {
-				return DispatchResult{}, errors.New("wrong experiment " + experiment)
-			}
-			return DispatchResult{Report: rep, Worker: "remote-1", CacheHit: true, Attempts: 1}, nil
-		},
+		Workers:     1,
+		Coordinator: cluster.NewCoordinator(cluster.Config{Runners: []experiments.Runner{fast}, Cache: cache}),
 	})
 	defer drain(t, s)
 
 	v := mustFinish(t, s, "fast", experiments.QuickOptions())
-	if dispatched != 1 {
-		t.Fatalf("dispatch calls = %d, want 1", dispatched)
-	}
-	if v.Worker != "remote-1" || !v.CacheHit {
-		t.Fatalf("view = worker %q cacheHit %v, want remote-1 attribution", v.Worker, v.CacheHit)
+	if v.Worker != "local-0" || v.Attempts != 1 || v.Retries != 0 || v.CacheHit {
+		t.Fatalf("cold view = worker %q attempts %d retries %d cacheHit %v, want local-0 after 1 attempt",
+			v.Worker, v.Attempts, v.Retries, v.CacheHit)
 	}
 	if string(v.Report) != string(rep) {
-		t.Fatalf("report = %s, want the dispatched payload", v.Report)
+		t.Fatalf("report = %s, want the runner's payload", v.Report)
+	}
+
+	hit := mustFinish(t, s, "fast", experiments.QuickOptions())
+	if !hit.CacheHit || hit.Worker != "" || hit.Attempts != 0 {
+		t.Fatalf("repeat view = worker %q attempts %d cacheHit %v, want a coordinator cache hit",
+			hit.Worker, hit.Attempts, hit.CacheHit)
+	}
+	if string(hit.Report) != string(rep) {
+		t.Fatalf("cache-hit report = %s, want byte-identical %s", hit.Report, rep)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("runner ran %d times, want 1", n)
 	}
 }
 
+// TestSchedulerDispatchFailureAndTimeout: a failing runner is retried
+// until MaxAttempts grants are spent, then the job fails with the runner's
+// message; a runner parked past JobTimeout ends cancelled.
 func TestSchedulerDispatchFailureAndTimeout(t *testing.T) {
-	noop := experiments.Runner{ID: "x", Title: "never local",
+	var runs atomic.Int32
+	failing := experiments.Runner{ID: "x", Title: "always fails",
 		Run: func(o experiments.Options) (experiments.Report, error) {
-			return experiments.Report{}, errors.New("local run in dispatch mode")
+			runs.Add(1)
+			return experiments.Report{}, errors.New("remote attempt exhausted")
 		}}
 	s := New(Config{
 		Workers: 1,
-		Runners: []experiments.Runner{noop},
-		Dispatch: func(ctx context.Context, experiment string, o experiments.Options) (DispatchResult, error) {
-			return DispatchResult{Worker: "w"}, errors.New("remote attempt exhausted")
-		},
+		Coordinator: cluster.NewCoordinator(cluster.Config{
+			Runners:     []experiments.Runner{failing},
+			MaxAttempts: 3,
+			RetryBase:   time.Millisecond,
+		}),
 	})
 	job, err := s.Submit("x", experiments.QuickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-job.Done()
-	if v, _ := s.View(job.ID()); v.State != StateFailed || v.Error == "" {
-		t.Fatalf("dispatch failure view = %+v, want failed with error", v)
+	select {
+	case <-job.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("failing job never finished")
+	}
+	v, _ := s.View(job.ID())
+	if v.State != StateFailed || !strings.Contains(v.Error, "remote attempt exhausted") {
+		t.Fatalf("failure view = %s %q, want failed with the runner's message", v.State, v.Error)
+	}
+	if v.Attempts != 3 || v.Retries != 2 || v.Worker != "local-0" || runs.Load() != 3 {
+		t.Fatalf("failure attribution = worker %q attempts %d retries %d runs %d, want local-0, 3, 2, 3",
+			v.Worker, v.Attempts, v.Retries, runs.Load())
 	}
 	drain(t, s)
 
-	// A dispatch blocked past JobTimeout is cancelled, not failed.
+	// A runner parked past JobTimeout is cancelled, not failed.
+	release := make(chan struct{})
+	defer close(release)
 	s2 := New(Config{
-		Workers:    1,
-		JobTimeout: 20 * time.Millisecond,
-		Runners:    []experiments.Runner{noop},
-		Dispatch: func(ctx context.Context, experiment string, o experiments.Options) (DispatchResult, error) {
-			<-ctx.Done()
-			return DispatchResult{}, ctx.Err()
-		},
+		Workers:     1,
+		JobTimeout:  20 * time.Millisecond,
+		Coordinator: coordinator(blockingRunner("x", release)),
 	})
 	defer drain(t, s2)
 	job2, err := s2.Submit("x", experiments.QuickOptions())
@@ -95,10 +122,10 @@ func TestSchedulerDispatchFailureAndTimeout(t *testing.T) {
 	select {
 	case <-job2.Done():
 	case <-time.After(10 * time.Second):
-		t.Fatal("timed-out dispatch never finished")
+		t.Fatal("timed-out job never finished")
 	}
 	if v, _ := s2.View(job2.ID()); v.State != StateCancelled {
-		t.Fatalf("timed-out dispatch state = %s, want cancelled", v.State)
+		t.Fatalf("timed-out job state = %s, want cancelled", v.State)
 	}
 }
 
@@ -108,7 +135,7 @@ func TestFinishedJobEviction(t *testing.T) {
 	s := New(Config{
 		Workers:        1,
 		RetainFinished: 1,
-		Runners:        []experiments.Runner{blockingRunner("fast", release)},
+		Coordinator:    coordinator(blockingRunner("fast", release)),
 	})
 	defer drain(t, s)
 
@@ -142,7 +169,7 @@ func TestJobMissHTTPStatus(t *testing.T) {
 	s := New(Config{
 		Workers:        1,
 		RetainFinished: 1,
-		Runners:        []experiments.Runner{blockingRunner("fast", release)},
+		Coordinator:    coordinator(blockingRunner("fast", release)),
 	})
 	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, DrainTimeout: 10 * time.Second}
 	base, _ := startDaemon(t, d)
@@ -179,40 +206,18 @@ func TestJobMissHTTPStatus(t *testing.T) {
 	}
 }
 
-// TestDaemonDrainWithClusterJobs is satellite 3: a daemon in cluster mode
-// (scheduler dispatching to a coordinator with a loopback worker) receives
-// shutdown while a leased job is mid-execution. The drain must let the
-// lease finish and commit, and Run must return nil — the clean-exit-0 path.
+// TestDaemonDrainWithClusterJobs: a daemon receives shutdown while a job
+// is leased to an in-process worker mid-execution. The drain must let the
+// lease finish and commit, and Run must return nil — the clean-exit-0
+// path.
 func TestDaemonDrainWithClusterJobs(t *testing.T) {
 	release := make(chan struct{})
-	runners := []experiments.Runner{blockingRunner("slow", release)}
-	hub := telemetry.NewHub(0)
-	coord := cluster.NewCoordinator(cluster.Config{Runners: runners, LeaseTTL: time.Hour})
-	pool, err := cluster.StartLoopbackWorkers(coord, 1, cluster.WorkerConfig{
-		Name: "local", Runners: runners, PollEvery: time.Millisecond,
+	coord := cluster.NewCoordinator(cluster.Config{
+		Runners:  []experiments.Runner{blockingRunner("slow", release)},
+		LeaseTTL: time.Hour,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := New(Config{
-		Workers: 1,
-		Runners: runners,
-		Hub:     hub,
-		Dispatch: func(ctx context.Context, experiment string, o experiments.Options) (DispatchResult, error) {
-			out, err := coord.Dispatch(ctx, experiment, o)
-			return DispatchResult(out), err
-		},
-		PromAppend: coord.WritePrometheus,
-	})
-	d := &Daemon{
-		Addr: "127.0.0.1:0", Scheduler: s, Hub: hub, DrainTimeout: 20 * time.Second,
-		OnDrain: func(ctx context.Context) {
-			_ = coord.Drain(ctx)
-			_ = pool.Stop()
-			coord.Close()
-		},
-	}
+	s := New(Config{Workers: 1, Coordinator: coord})
+	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, DrainTimeout: 20 * time.Second}
 	base, stop := startDaemon(t, d)
 
 	resp, body := postJob(t, base, `{"experiment":"slow","options":{"Quick":true}}`)
@@ -224,14 +229,14 @@ func TestDaemonDrainWithClusterJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait until the loopback worker holds the lease, then begin shutdown
-	// with the job genuinely in flight.
+	// Wait until the in-process worker holds the lease, then begin
+	// shutdown with the job genuinely in flight.
 	deadline := time.Now().Add(10 * time.Second)
 	for coord.Status().ActiveLeases == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if coord.Status().ActiveLeases == 0 {
-		t.Fatal("job never leased to the loopback worker")
+		t.Fatal("job never leased to the in-process worker")
 	}
 
 	stopped := make(chan error, 1)
@@ -258,14 +263,82 @@ func TestDaemonDrainWithClusterJobs(t *testing.T) {
 	if view.State != StateSucceeded {
 		t.Fatalf("job state after drain = %s (%s), want succeeded", view.State, view.Error)
 	}
-	if view.Worker != "local-0" {
-		t.Fatalf("worker attribution = %q, want local-0", view.Worker)
+	if view.Worker != "local-0" || view.Attempts != 1 {
+		t.Fatalf("attribution = worker %q attempts %d, want local-0 after 1 attempt", view.Worker, view.Attempts)
 	}
-
-	// The per-worker series the coordinator appends to /metrics survived the
-	// whole lifecycle (rendered under the coordinator lock, post-drain).
-	st := coord.Status()
-	if len(st.Workers) == 0 && st.Completed != 1 {
+	if st := coord.Status(); st.Completed != 1 {
 		t.Fatalf("coordinator status after drain = %+v, want 1 completed job", st)
 	}
+}
+
+// TestRemoteWorkerJoinsDefaultDaemon: a daemon built with no cluster
+// options still serves /cluster/v1/, so a remote worker registers over
+// HTTP and commits a lease while the in-process worker is busy.
+func TestRemoteWorkerJoinsDefaultDaemon(t *testing.T) {
+	release := make(chan struct{})
+	runners := []experiments.Runner{blockingRunner("block", release), blockingRunner("fast", closed())}
+	coord := cluster.NewCoordinator(cluster.Config{Runners: runners})
+	s := New(Config{Workers: 1, Coordinator: coord})
+	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, DrainTimeout: 10 * time.Second}
+	base, stop := startDaemon(t, d)
+
+	// Occupy the lone in-process worker.
+	blocked, err := s.Submit("block", experiments.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for coord.Status().ActiveLeases == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+
+	w, err := cluster.NewWorker(cluster.WorkerConfig{
+		Name: "remote", Client: &cluster.HTTPClient{Base: base},
+		Runners: runners, PollEvery: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan error, 1)
+	go func() { exited <- w.Run(ctx) }()
+
+	job, err := coord.Submit(cluster.NewJobSpec("fast", experiments.Options{}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("remote worker never committed the job")
+	}
+	if res := job.Result(); res.State != cluster.JobSucceeded || res.Worker != "remote" {
+		t.Fatalf("result = %+v, want success committed by the remote worker", res)
+	}
+	resp, err := http.Get(base + "/cluster/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(b), `"name":"remote"`) {
+		t.Fatalf("/cluster/v1/status = %d\n%s", resp.StatusCode, b)
+	}
+
+	close(release)
+	<-blocked.Done()
+	cancel()
+	if err := <-exited; err != nil {
+		t.Fatalf("remote worker: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("daemon shutdown: %v", err)
+	}
+}
+
+// closed returns an already-closed channel, for runners that never park.
+func closed() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
 }

@@ -7,38 +7,26 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"hwgc/internal/telemetry"
 )
 
-// Daemon binds a Scheduler and its HTTP API to a listener and manages the
+// Daemon binds a Scheduler and its HTTP API (the coordinator's
+// /cluster/v1/ endpoints included) to a listener and manages the
 // graceful-shutdown sequence: when the run context is cancelled, the
 // scheduler drains first (submissions 503 while status queries keep
-// working), then the HTTP server shuts down. Run returns nil on a clean
-// drain, so the process can exit 0 on SIGINT/SIGTERM.
+// working and remote workers keep completing leases), then the HTTP server
+// shuts down. Run returns nil on a clean drain, so the process can exit 0
+// on SIGINT/SIGTERM.
 type Daemon struct {
 	// Addr is the listen address (e.g. ":8077"; ":0" picks a free port).
 	Addr string
 	// Scheduler serves the jobs. Required.
 	Scheduler *Scheduler
-	// Hub is forwarded to the API's metrics endpoints. Optional — they fall
-	// back to the scheduler's always-on hub.
-	Hub *telemetry.Hub
 	// EnablePprof overlays net/http/pprof under /debug/pprof/ (opt-in; see
 	// withPprof).
 	EnablePprof bool
 	// DrainTimeout bounds how long in-flight jobs may keep running after
 	// shutdown begins before being cancelled (<= 0 means 30s).
 	DrainTimeout time.Duration
-	// ExtraMounts adds endpoint groups to the API mux by pattern — how
-	// hwgc-serve -cluster mounts the coordinator's /cluster/v1/ protocol
-	// endpoints on the same listener.
-	ExtraMounts map[string]http.Handler
-	// OnDrain, when set, runs after the scheduler drains but before the
-	// HTTP server shuts down — while protocol endpoints still answer. A
-	// cluster coordinator drains here: leased jobs finish or re-queue and
-	// complete before the listener closes.
-	OnDrain func(ctx context.Context)
 	// Logf, when set, receives progress lines (listen address, drain).
 	Logf func(format string, args ...any)
 
@@ -81,11 +69,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}
 	d.logf("hwgc-serve: listening on %s", d.ListenAddr())
 
-	mux := NewHandler(d.Scheduler, d.Hub)
-	for pattern, h := range d.ExtraMounts {
-		mux.Handle(pattern, h)
-	}
-	var handler http.Handler = mux
+	handler := NewHandler(d.Scheduler)
 	if d.EnablePprof {
 		handler = withPprof(handler)
 		d.logf("hwgc-serve: pprof enabled under /debug/pprof/")
@@ -109,11 +93,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 	drainCtx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	_ = d.Scheduler.Drain(drainCtx)
-	if d.OnDrain != nil {
-		// The HTTP server is still up: remote cluster workers can keep
-		// completing leases until the coordinator reports drained.
-		d.OnDrain(drainCtx)
-	}
 
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hwgc/internal/cluster"
 	"hwgc/internal/experiments"
 	"hwgc/internal/ledger"
 	"hwgc/internal/resultcache"
@@ -33,7 +34,7 @@ func beatRunner(id string, cycles uint64, release <-chan struct{}) experiments.R
 
 func TestProgressAdvancesWhileJobRuns(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, Runners: []experiments.Runner{beatRunner("beaty", 1234, release)}})
+	s := New(Config{Workers: 1, Coordinator: coordinator(beatRunner("beaty", 1234, release))})
 	defer drain(t, s)
 
 	job, err := s.Submit("beaty", experiments.Options{})
@@ -88,11 +89,11 @@ func TestMetricsEndpointsAlwaysOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No hub configured: the scheduler's own fallback hub serves both
+	// No hub configured: the coordinator's own fallback hub serves both
 	// endpoints — the old 404 is gone.
-	s := New(Config{Workers: 1, Cache: cache})
+	s := New(Config{Workers: 1, Coordinator: cluster.NewCoordinator(cluster.Config{Cache: cache})})
 	defer drain(t, s)
-	srv := httptest.NewServer(NewHandler(s, nil))
+	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
 	mustFinish(t, s, "table1", experiments.Options{GCs: 1, Seed: 42, Quick: true, Shrink: 8})
@@ -130,9 +131,9 @@ func TestMetricsEndpointsAlwaysOn(t *testing.T) {
 
 func TestProgressEndpoint(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, Runners: []experiments.Runner{beatRunner("beaty", 77, release)}})
+	s := New(Config{Workers: 1, Coordinator: coordinator(beatRunner("beaty", 77, release))})
 	defer drain(t, s)
-	srv := httptest.NewServer(NewHandler(s, nil))
+	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
 	job, err := s.Submit("beaty", experiments.Options{})
@@ -167,7 +168,7 @@ func TestProgressEndpoint(t *testing.T) {
 func TestPprofOptIn(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer drain(t, s)
-	plain := httptest.NewServer(NewHandler(s, nil))
+	plain := httptest.NewServer(NewHandler(s))
 	defer plain.Close()
 	// Without the opt-in wrapper, profiling endpoints do not exist.
 	resp, err := http.Get(plain.URL + "/debug/pprof/cmdline")
@@ -179,7 +180,7 @@ func TestPprofOptIn(t *testing.T) {
 		t.Fatal("pprof reachable without opt-in")
 	}
 
-	wrapped := httptest.NewServer(withPprof(NewHandler(s, nil)))
+	wrapped := httptest.NewServer(withPprof(NewHandler(s)))
 	defer wrapped.Close()
 	get(t, wrapped.URL+"/debug/pprof/cmdline", http.StatusOK)
 	// The API still works through the wrapper.
@@ -194,9 +195,9 @@ func TestSchedulerLedgerAppendsPerJob(t *testing.T) {
 	release := make(chan struct{})
 	close(release) // run immediately
 	s := New(Config{
-		Workers: 1,
-		Ledger:  store,
-		Runners: []experiments.Runner{beatRunner("beaty", 9, release)},
+		Workers:     1,
+		Ledger:      store,
+		Coordinator: coordinator(beatRunner("beaty", 9, release)),
 	})
 	defer drain(t, s)
 	mustFinish(t, s, "beaty", experiments.Options{GCs: 1, Seed: 7, Quick: true})

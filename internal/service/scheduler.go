@@ -1,9 +1,10 @@
 // Package service turns the deterministic experiment fleet into a
 // long-running simulation service: a bounded job queue drained by a worker
-// pool, fronted by an HTTP/JSON API (server.go, daemon.go) and backed by
-// the content-addressed result cache. Because reports are byte-identical
-// at any fleet width (the PR 2 determinism contract), a cache hit served
-// by the scheduler is provably identical to recomputing the cell.
+// pool, fronted by an HTTP/JSON API (server.go, daemon.go). Every job runs
+// through a cluster coordinator, which owns the content-addressed result
+// cache, placement on in-process or remote workers, retries, and
+// attribution. Because reports are byte-identical at any fleet width, a
+// cache hit is provably identical to recomputing the cell.
 package service
 
 import (
@@ -11,16 +12,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"hwgc/internal/cluster"
 	"hwgc/internal/experiments"
 	"hwgc/internal/ledger"
-	"hwgc/internal/resultcache"
 	"hwgc/internal/telemetry"
 )
 
@@ -57,77 +56,37 @@ const (
 )
 
 // Config parameterizes a Scheduler. The zero value is usable: GOMAXPROCS
-// workers, a 64-deep queue, no per-job deadline, no cache, no telemetry.
+// pool workers and as many in-process workers, a 64-deep queue, no per-job
+// deadline, and a private coordinator serving every experiment uncached.
 type Config struct {
-	// Workers is the worker-pool size (<= 0 means GOMAXPROCS).
+	// Workers is the worker-pool size: how many jobs are in flight on the
+	// coordinator at once (<= 0 means GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the number of queued-but-unstarted jobs
 	// (<= 0 means 64). Submissions past the bound fail with ErrQueueFull.
 	QueueDepth int
 	// JobTimeout is the per-job deadline measured from the moment a worker
 	// picks the job up (<= 0 means no deadline). A job past its deadline is
-	// marked cancelled; the simulation goroutine cannot be interrupted and
-	// is left to finish detached, its result discarded.
+	// cancelled on the coordinator; a simulation cannot be interrupted and
+	// is left to finish detached, its result dropped.
 	JobTimeout time.Duration
-	// Cache, when set, is consulted before running and updated after every
-	// successful run. Keys come from experiments.CellKey.
-	Cache *resultcache.Cache
-	// Hub, when set, receives service metrics (queue depth, job counters,
-	// latency) and the cache's counters on its registry. When nil the
-	// scheduler creates a private hub, so service metrics — and the
-	// introspection endpoints built on them — are always on. Jobs' own
-	// simulations are never instrumented.
-	Hub *telemetry.Hub
+	// Coordinator executes every job: it owns the result cache, placement,
+	// retries, and attribution, and its hub carries the service metrics
+	// too. nil means a private coordinator over experiments.All() with no
+	// cache. The scheduler owns it from New on: Drain drains and closes it.
+	Coordinator *cluster.Coordinator
+	// LocalWorkers is how many in-process loopback workers execute the
+	// coordinator's leases (0 means Workers; negative means none, leaving
+	// execution to remote hwgc-worker processes).
+	LocalWorkers int
 	// Ledger, when set, receives one run manifest per finished job, so a
 	// served fleet leaves the same durable trail as a hwgc-bench run.
 	Ledger *ledger.Store
-	// Runners is the experiment table served (nil means experiments.All()).
-	// Tests inject synthetic runners here.
-	Runners []experiments.Runner
-	// Dispatch, when set, routes job execution to a cluster coordinator
-	// instead of running cells in-process (hwgc-serve -cluster). The
-	// worker pool still drains the queue — it just blocks on remote
-	// completion instead of a local simulation. The scheduler's own cache
-	// check is skipped in this mode: the dispatcher owns cache policy, so
-	// one lookup happens, in one place.
-	Dispatch DispatchFunc
 	// RetainFinished bounds how many finished (succeeded, failed, or
 	// cancelled) jobs stay in the job table; the oldest-finished beyond the
 	// bound are evicted and their endpoints answer 410 Gone. 0 means the
 	// default 4096; negative means unlimited.
 	RetainFinished int
-	// PromAppend, when set, is invoked after the registry dump on
-	// GET /metrics — the hook cluster coordinators use to append
-	// per-worker labeled series that cannot live in the (fixed-name)
-	// registry.
-	PromAppend func(w io.Writer) error
-}
-
-// DispatchFunc executes one cell somewhere else — cmd/hwgc-serve adapts a
-// cluster coordinator's Dispatch method onto it. On error the result's
-// attribution fields (Worker, Attempts, TraceID, ...) may still be
-// populated and are recorded.
-type DispatchFunc func(ctx context.Context, experiment string, o experiments.Options) (DispatchResult, error)
-
-// DispatchResult is a dispatched cell's outcome: the encoded report plus
-// the attribution and trace context the dispatcher collected. The service
-// deliberately mirrors (rather than imports) the cluster package's
-// outcome type so the dependency keeps pointing one way.
-type DispatchResult struct {
-	// Report is the JSON-encoded experiments.Report.
-	Report []byte
-	// Worker names the worker that produced the result ("" for cache
-	// hits); CacheHit marks a result served from a cache.
-	Worker   string
-	CacheHit bool
-	// Attempts and Retries attribute how hard the dispatcher worked.
-	Attempts int
-	Retries  int
-	// TraceID and Spans carry the job's distributed trace when the
-	// dispatcher records one ("" / nil otherwise); they flow into job
-	// manifests.
-	TraceID string
-	Spans   []telemetry.Span
 }
 
 // DefaultRetainFinished is the finished-job table bound when
@@ -141,7 +100,7 @@ type Job struct {
 	id         string
 	experiment string
 	opts       experiments.Options
-	key        resultcache.Key
+	key        string // experiments.CellKey, hex; computed once at Submit
 
 	// beat receives a live cycles-simulated heartbeat from the running
 	// simulation (atomic; read it without the scheduler lock).
@@ -149,11 +108,11 @@ type Job struct {
 
 	state     State
 	cacheHit  bool
-	worker    string // cluster worker attribution ("" for local runs)
+	worker    string // worker whose result committed ("" for cache hits)
 	report    []byte // encoded report, exactly the cached payload bytes
 	errMsg    string
-	attempts  int    // dispatcher lease grants (0 for local runs)
-	retries   int    // dispatcher re-queues
+	attempts  int    // lease grants
+	retries   int    // re-queues after failed or expired attempts
 	traceID   string // distributed trace ("" when tracing is off)
 	spans     []telemetry.Span
 	submitted time.Time
@@ -190,12 +149,14 @@ type View struct {
 	Finished   *time.Time          `json:"finishedAt,omitempty"`
 }
 
-// Scheduler owns the job table, the bounded queue, and the worker pool.
+// Scheduler owns the job table, the bounded queue, and the worker pool
+// that dispatches queued jobs to the coordinator.
 type Scheduler struct {
 	cfg   Config
-	hub   *telemetry.Hub // cfg.Hub, or the scheduler's own always-on hub
-	byID  map[string]experiments.Runner
-	ids   []string
+	coord *cluster.Coordinator
+	pool  *cluster.LoopbackPool // nil when LocalWorkers < 0
+	hub   *telemetry.Hub        // the coordinator's
+	known map[string]bool       // served experiment IDs
 	queue chan *Job
 
 	baseCtx context.Context
@@ -216,8 +177,8 @@ type Scheduler struct {
 	latency                                            telemetry.Histogram // guarded by mu (registry histograms are not lock-free)
 }
 
-// New starts a scheduler: the worker pool begins draining the queue
-// immediately. Stop it with Drain.
+// New starts a scheduler: the worker pool and the in-process workers begin
+// draining the queue immediately. Stop it with Drain.
 func New(cfg Config) *Scheduler {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -227,9 +188,9 @@ func New(cfg Config) *Scheduler {
 	if depth <= 0 {
 		depth = 64
 	}
-	runners := cfg.Runners
-	if runners == nil {
-		runners = experiments.All()
+	coord := cfg.Coordinator
+	if coord == nil {
+		coord = cluster.NewCoordinator(cluster.Config{})
 	}
 	retain := cfg.RetainFinished
 	if retain == 0 {
@@ -238,7 +199,9 @@ func New(cfg Config) *Scheduler {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
 		cfg:     cfg,
-		byID:    make(map[string]experiments.Runner, len(runners)),
+		coord:   coord,
+		hub:     coord.Hub(),
+		known:   make(map[string]bool),
 		queue:   make(chan *Job, depth),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -247,19 +210,21 @@ func New(cfg Config) *Scheduler {
 		evicted: make(map[string]struct{}),
 		retain:  retain,
 	}
-	for _, r := range runners {
-		s.byID[r.ID] = r
-		s.ids = append(s.ids, r.ID)
-	}
-	sort.Strings(s.ids)
-	// Service metrics are always on: without a caller-supplied hub the
-	// scheduler owns one, so the metrics endpoints never have nothing to
-	// say.
-	s.hub = cfg.Hub
-	if s.hub == nil {
-		s.hub = telemetry.NewHub(0)
+	for _, id := range coord.ExperimentIDs() {
+		s.known[id] = true
 	}
 	s.attachTelemetry(s.hub)
+	local := cfg.LocalWorkers
+	if local == 0 {
+		local = workers
+	}
+	if local > 0 {
+		pool, err := cluster.StartLoopbackWorkers(coord, local, cluster.WorkerConfig{Name: "local"})
+		if err != nil {
+			panic(err) // unreachable: the workers' client is the coordinator itself
+		}
+		s.pool = pool
+	}
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -267,27 +232,20 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Hub returns the scheduler's telemetry hub: cfg.Hub when one was supplied,
-// otherwise the scheduler's own always-on hub. Never nil.
+// Hub returns the telemetry hub carrying the service, coordinator, and
+// cache metrics: the coordinator's. Never nil.
 func (s *Scheduler) Hub() *telemetry.Hub { return s.hub }
 
 // ExperimentIDs returns the served runner IDs, sorted.
-func (s *Scheduler) ExperimentIDs() []string { return append([]string(nil), s.ids...) }
+func (s *Scheduler) ExperimentIDs() []string { return s.coord.ExperimentIDs() }
 
-// Runners returns the served runner table in scheduler order.
-func (s *Scheduler) Runners() []experiments.Runner {
-	out := make([]experiments.Runner, 0, len(s.ids))
-	for _, id := range s.ids {
-		out = append(out, s.byID[id])
-	}
-	return out
-}
+// Runners returns the served runner table, sorted by ID.
+func (s *Scheduler) Runners() []experiments.Runner { return s.coord.Runners() }
 
 // Submit enqueues one cell. It fails fast with UnknownExperimentError,
 // ErrDraining, or ErrQueueFull; it never blocks on a full queue.
 func (s *Scheduler) Submit(experiment string, o experiments.Options) (*Job, error) {
-	r, ok := s.byID[experiment]
-	if !ok {
+	if !s.known[experiment] {
 		return nil, &UnknownExperimentError{Name: experiment, Valid: s.ExperimentIDs()}
 	}
 	s.mu.Lock()
@@ -298,17 +256,14 @@ func (s *Scheduler) Submit(experiment string, o experiments.Options) (*Job, erro
 	s.seq++
 	job := &Job{
 		id:         fmt.Sprintf("job-%06d", s.seq),
-		experiment: r.ID,
+		experiment: experiment,
 		opts:       o,
-		key:        experiments.CellKey(r.ID, o),
+		key:        experiments.CellKey(experiment, o).String(),
 		beat:       &telemetry.Beat{},
 		state:      StateQueued,
 		submitted:  time.Now(),
 		done:       make(chan struct{}),
 	}
-	// The heartbeat rides the job's options into every system the runner
-	// builds; it never affects results or the cache key (cachekey:"-").
-	job.opts.Beat = job.beat
 	select {
 	case s.queue <- job:
 	default:
@@ -360,7 +315,7 @@ func (s *Scheduler) viewLocked(j *Job) View {
 		Experiment: j.experiment,
 		Options:    j.opts,
 		State:      j.state,
-		CacheKey:   j.key.String(),
+		CacheKey:   j.key,
 		CacheHit:   j.cacheHit,
 		Worker:     j.worker,
 		Attempts:   j.attempts,
@@ -395,13 +350,12 @@ func (s *Scheduler) run(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now()
 	s.running[job] = struct{}{}
-	runner := s.byID[job.experiment]
 	s.mu.Unlock()
 
 	// Drain deadline already passed: don't start work that will be thrown
 	// away.
 	if err := s.baseCtx.Err(); err != nil {
-		s.finish(job, StateCancelled, err.Error(), DispatchResult{})
+		s.finish(job, StateCancelled, err.Error(), cluster.JobResult{})
 		return
 	}
 
@@ -412,67 +366,23 @@ func (s *Scheduler) run(job *Job) {
 		defer cancel()
 	}
 
-	if s.cfg.Dispatch != nil {
-		// Cluster mode: the coordinator owns cache lookup, execution
-		// placement, and retries; the worker-pool goroutine just waits.
-		// Attribution and trace context are recorded even for failures.
-		res, err := s.cfg.Dispatch(ctx, job.experiment, job.opts)
-		switch {
-		case err == nil:
-			s.finish(job, StateSucceeded, "", res)
-		case ctx.Err() != nil:
-			res.Report = nil
-			s.finish(job, StateCancelled, ctx.Err().Error(), res)
-		default:
-			res.Report = nil
-			s.finish(job, StateFailed, err.Error(), res)
-		}
-		return
-	}
-
-	if s.cfg.Cache != nil {
-		if b, ok := s.cfg.Cache.Get(job.key); ok {
-			if _, err := experiments.DecodeReport(b); err == nil {
-				s.finish(job, StateSucceeded, "", DispatchResult{Report: b, CacheHit: true})
-				return
-			}
-			// Corrupt entry: fall through and recompute.
-		}
-	}
-
-	type result struct {
-		rep experiments.Report
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		rep, err := runner.Run(job.opts)
-		ch <- result{rep, err}
-	}()
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			s.finish(job, StateFailed, res.err.Error(), DispatchResult{})
-			return
-		}
-		b, err := experiments.EncodeReport(res.rep)
-		if err != nil {
-			s.finish(job, StateFailed, err.Error(), DispatchResult{})
-			return
-		}
-		if s.cfg.Cache != nil {
-			// A failed disk write only loses reuse, never the result.
-			_ = s.cfg.Cache.Put(job.key, b)
-		}
-		s.finish(job, StateSucceeded, "", DispatchResult{Report: b})
-	case <-ctx.Done():
-		// Runner.Run takes no context; the simulation goroutine finishes
-		// detached and its result is discarded.
-		s.finish(job, StateCancelled, ctx.Err().Error(), DispatchResult{})
+	// The coordinator owns cache lookup, placement, and retries; this pool
+	// goroutine just waits. The job's heartbeat rides along, so an
+	// in-process worker drives the job's live progress. Attribution and
+	// trace context are recorded even for failures.
+	spec := cluster.JobSpec{ID: job.id, Experiment: job.experiment, Options: job.opts, CacheKey: job.key}
+	res, err := s.coord.Dispatch(ctx, spec, job.beat)
+	switch {
+	case err == nil:
+		s.finish(job, StateSucceeded, "", res)
+	case res.State == cluster.JobCancelled:
+		s.finish(job, StateCancelled, err.Error(), res)
+	default:
+		s.finish(job, StateFailed, err.Error(), res)
 	}
 }
 
-func (s *Scheduler) finish(job *Job, st State, errMsg string, res DispatchResult) {
+func (s *Scheduler) finish(job *Job, st State, errMsg string, res cluster.JobResult) {
 	s.mu.Lock()
 	job.state = st
 	job.report = res.Report
@@ -562,7 +472,7 @@ func jobManifest(job *Job) *ledger.Manifest {
 	})
 	rec := ledger.Experiment{
 		ID:       job.experiment,
-		CellKey:  job.key.String(),
+		CellKey:  job.key,
 		CacheHit: job.cacheHit,
 		Worker:   job.worker,
 		Attempts: job.attempts,
@@ -643,9 +553,10 @@ func (s *Scheduler) Draining() bool {
 
 // Drain stops the scheduler gracefully: new submissions fail with
 // ErrDraining immediately, queued and in-flight jobs run to completion,
-// and once ctx expires any still-running jobs are cancelled at their next
-// checkpoint. Drain returns when every worker has exited; it is safe to
-// call more than once.
+// and once ctx expires any still-running jobs are cancelled. Then the
+// coordinator drains and closes, and the in-process workers stop. Drain
+// returns by the deadline even while an in-process simulation is still
+// running; it is safe to call more than once.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -666,6 +577,17 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		<-done
 	}
 	s.cancel()
+	_ = s.coord.Drain(ctx)
+	if s.pool != nil {
+		// Every job is terminal now, so an in-process runner still going
+		// holds a lease whose result would only be dropped: abandon it, as
+		// Worker.Kill does, and let the simulation finish detached.
+		for i := 0; i < s.pool.Len(); i++ {
+			s.pool.Kill(i)
+		}
+		_ = s.pool.Stop()
+	}
+	s.coord.Close()
 	return nil
 }
 
@@ -719,7 +641,4 @@ func (s *Scheduler) attachTelemetry(h *telemetry.Hub) {
 	reg.Gauge("service.job.latency.max_us", gauge(func() float64 { return float64(s.latency.Max()) }))
 	reg.Gauge("service.job.latency.p50_us", gauge(func() float64 { return s.latency.Quantile(0.50) }))
 	reg.Gauge("service.job.latency.p99_us", gauge(func() float64 { return s.latency.Quantile(0.99) }))
-	if s.cfg.Cache != nil {
-		s.cfg.Cache.AttachTelemetry(h)
-	}
 }

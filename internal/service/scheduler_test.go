@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hwgc/internal/cluster"
 	"hwgc/internal/experiments"
 	"hwgc/internal/resultcache"
 	"hwgc/internal/telemetry"
@@ -22,6 +23,11 @@ func blockingRunner(id string, release <-chan struct{}) experiments.Runner {
 			return experiments.Report{ID: id, Rows: []string{"done"}}, nil
 		},
 	}
+}
+
+// coordinator serves the given runners uncached.
+func coordinator(runners ...experiments.Runner) *cluster.Coordinator {
+	return cluster.NewCoordinator(cluster.Config{Runners: runners})
 }
 
 func drain(t *testing.T, s *Scheduler) {
@@ -58,9 +64,9 @@ func TestSubmitUnknownExperiment(t *testing.T) {
 func TestQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	s := New(Config{
-		Workers:    1,
-		QueueDepth: 1,
-		Runners:    []experiments.Runner{blockingRunner("block", release)},
+		Workers:     1,
+		QueueDepth:  1,
+		Coordinator: coordinator(blockingRunner("block", release)),
 	})
 	defer drain(t, s)
 
@@ -83,9 +89,9 @@ func TestJobTimeoutCancels(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release) // let the detached sim goroutine exit
 	s := New(Config{
-		Workers:    1,
-		JobTimeout: 20 * time.Millisecond,
-		Runners:    []experiments.Runner{blockingRunner("stuck", release)},
+		Workers:     1,
+		JobTimeout:  20 * time.Millisecond,
+		Coordinator: coordinator(blockingRunner("stuck", release)),
 	})
 	defer drain(t, s)
 
@@ -111,8 +117,8 @@ func TestDrainCancelsInFlightAtDeadline(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	s := New(Config{
-		Workers: 1,
-		Runners: []experiments.Runner{blockingRunner("stuck", release)},
+		Workers:     1,
+		Coordinator: coordinator(blockingRunner("stuck", release)),
 	})
 	job, err := s.Submit("stuck", experiments.Options{})
 	if err != nil {
@@ -141,7 +147,7 @@ func TestSchedulerCacheHitTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub := telemetry.NewHub(0)
-	s := New(Config{Workers: 2, Cache: cache, Hub: hub})
+	s := New(Config{Workers: 2, Coordinator: cluster.NewCoordinator(cluster.Config{Cache: cache, Hub: hub})})
 	defer drain(t, s)
 
 	o := experiments.Options{GCs: 1, Seed: 42, Quick: true, Shrink: 8}

@@ -12,12 +12,15 @@ package service
 //	GET  /metrics                 the same registry in Prometheus text format
 //	GET  /healthz                 liveness probe (200 while the process is up)
 //	GET  /readyz                  readiness probe (503 once draining)
+//	     /cluster/v1/...          the coordinator's worker protocol, status,
+//	                              trace, and federated metrics (cluster
+//	                              package), so remote hwgc-worker processes
+//	                              can join any daemon
 //
-// The metrics endpoints are always on: the scheduler owns a fallback hub,
-// so they serve the service's own counters even when no simulation
-// telemetry was wired. Error responses are {"error": "..."}; an unknown
-// experiment additionally carries "validExperiments" so clients can
-// self-correct.
+// The metrics endpoints are always on: they serve the coordinator's hub,
+// which carries the service, coordinator, and result-cache counters.
+// Error responses are {"error": "..."}; an unknown experiment additionally
+// carries "validExperiments" so clients can self-correct.
 
 import (
 	"encoding/json"
@@ -25,9 +28,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 
+	"hwgc/internal/cluster"
 	"hwgc/internal/experiments"
 	"hwgc/internal/report"
-	"hwgc/internal/telemetry"
 )
 
 // SubmitRequest is the POST /v1/jobs body. Options is decoded over
@@ -46,14 +49,10 @@ type errorResponse struct {
 	ValidExperiments []string `json:"validExperiments,omitempty"`
 }
 
-// NewHandler returns the service API over s. hub may be nil; the metrics
-// endpoints then fall back to the scheduler's own always-on hub, so they
-// never 404. The returned mux is concrete so callers (hwgc-serve -cluster)
-// can mount additional endpoint groups on it.
-func NewHandler(s *Scheduler, hub *telemetry.Hub) *http.ServeMux {
-	if hub == nil {
-		hub = s.Hub()
-	}
+// NewHandler returns the service API over s, the coordinator's protocol
+// endpoints included.
+func NewHandler(s *Scheduler) http.Handler {
+	hub := s.Hub()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		handleSubmit(s, w, r)
@@ -74,8 +73,9 @@ func NewHandler(s *Scheduler, hub *telemetry.Hub) *http.ServeMux {
 			ID    string `json:"id"`
 			Title string `json:"title"`
 		}
-		out := make([]exp, 0, len(s.ids))
-		for _, runner := range s.Runners() {
+		runners := s.Runners()
+		out := make([]exp, 0, len(runners))
+		for _, runner := range runners {
 			out = append(out, exp{ID: runner.ID, Title: runner.Title})
 		}
 		writeJSON(w, http.StatusOK, out)
@@ -109,12 +109,11 @@ func NewHandler(s *Scheduler, hub *telemetry.Hub) *http.ServeMux {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = hub.WritePrometheus(w)
-		if s.cfg.PromAppend != nil {
-			// Extra labeled families (per-cluster-worker series) that
-			// cannot live in the fixed-name registry.
-			_ = s.cfg.PromAppend(w)
-		}
+		// Per-worker labeled families cannot live in the fixed-name
+		// registry; the coordinator renders them after it.
+		_ = s.coord.WritePrometheus(w)
 	})
+	mux.Handle("/cluster/v1/", cluster.NewHTTPHandler(s.coord))
 	// Probe endpoints, plain text by convention: liveness is unconditional
 	// (the process answering is the signal); readiness flips to 503 the
 	// moment a drain begins so fleets stop routing new submissions here.

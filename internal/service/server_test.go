@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hwgc/internal/cluster"
 	"hwgc/internal/experiments"
 	"hwgc/internal/resultcache"
 	"hwgc/internal/telemetry"
@@ -71,8 +72,8 @@ func TestServiceCacheHitIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub := telemetry.NewHub(0)
-	s := New(Config{Workers: 2, Cache: cache, Hub: hub})
-	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, Hub: hub, DrainTimeout: 10 * time.Second}
+	s := New(Config{Workers: 2, Coordinator: cluster.NewCoordinator(cluster.Config{Cache: cache, Hub: hub})})
+	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, DrainTimeout: 10 * time.Second}
 	base, stop := startDaemon(t, d)
 
 	const body = `{"experiment":"table1","options":{"GCs":1,"Seed":42,"Quick":true,"Shrink":8},"wait":true}`
@@ -139,8 +140,8 @@ func TestServiceCacheHitIntegration(t *testing.T) {
 func TestServiceGracefulShutdown(t *testing.T) {
 	release := make(chan struct{})
 	s := New(Config{
-		Workers: 1,
-		Runners: []experiments.Runner{blockingRunner("block", release)},
+		Workers:     1,
+		Coordinator: coordinator(blockingRunner("block", release)),
 	})
 	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, DrainTimeout: 10 * time.Second}
 	base, stop := startDaemon(t, d)
@@ -249,8 +250,8 @@ func TestServiceUnknownExperimentHTTP(t *testing.T) {
 func TestServiceJobReportHTTP(t *testing.T) {
 	release := make(chan struct{})
 	s := New(Config{
-		Workers: 1,
-		Runners: []experiments.Runner{blockingRunner("block", release)},
+		Workers:     1,
+		Coordinator: coordinator(blockingRunner("block", release)),
 	})
 	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, DrainTimeout: 10 * time.Second}
 	base, _ := startDaemon(t, d)
@@ -312,8 +313,8 @@ func TestMetricsScrapeDuringColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub := telemetry.NewHub(0)
-	s := New(Config{Workers: 1, Cache: cache, Hub: hub})
-	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, Hub: hub, DrainTimeout: 30 * time.Second}
+	s := New(Config{Workers: 1, Coordinator: cluster.NewCoordinator(cluster.Config{Cache: cache, Hub: hub})})
+	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, DrainTimeout: 30 * time.Second}
 	base, stop := startDaemon(t, d)
 
 	done := make(chan View, 1)

@@ -15,10 +15,10 @@ budget="scripts/alloc_budget.txt"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "== allocation sentinel: quick suite + image, cluster, and telemetry micro-benchmarks (1 iteration)"
+echo "== allocation sentinel: quick suite + image, cluster, service, and telemetry micro-benchmarks (1 iteration)"
 go test -run '^$' \
-    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkWallSpanOff$|BenchmarkTelemetryMetrics$' \
-    -benchmem -benchtime=1x . ./internal/cluster/ ./internal/telemetry/ | tee "$raw"
+    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkServiceCacheHit$|BenchmarkWallSpanOff$|BenchmarkTelemetryMetrics$' \
+    -benchmem -benchtime=1x . ./internal/cluster/ ./internal/service/ ./internal/telemetry/ | tee "$raw"
 
 if [ "${1:-}" = "-update" ]; then
     {
