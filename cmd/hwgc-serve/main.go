@@ -1,8 +1,7 @@
 // hwgc-serve exposes the experiment fleet as a long-running simulation
-// service: an HTTP/JSON API over a bounded job queue, with every job run
-// through a cluster coordinator that serves repeated cells from the
-// content-addressed result cache and leases fresh ones to workers. See
-// docs/SERVICE.md.
+// service: an HTTP/JSON API over a cluster coordinator that admits jobs
+// into a bounded queue, serves repeated cells from the content-addressed
+// result cache, and leases fresh ones to workers. See docs/SERVICE.md.
 //
 // Usage:
 //
@@ -13,13 +12,12 @@
 //	hwgc-serve -ledger runs/           # append a run manifest per job
 //	hwgc-serve -pprof                  # expose /debug/pprof/
 //
-// Cells simulate on -local-workers in-process workers (default: the
-// -workers value). The coordinator's protocol endpoints are always mounted
-// under /cluster/v1/ on the same listener, so remote workers
-// (cmd/hwgc-worker) can join any daemon and take leases too (see
-// docs/SERVICE.md §5):
+// Cells simulate on -workers in-process workers (default: GOMAXPROCS).
+// The coordinator's protocol endpoints are always mounted under
+// /cluster/v1/ on the same listener, so remote workers (cmd/hwgc-worker)
+// can join any daemon and take leases too (see docs/SERVICE.md §5):
 //
-//	hwgc-serve -local-workers 0        # remote workers only
+//	hwgc-serve -workers 0              # remote workers only
 //	hwgc-serve -lease-ttl 2m           # slow cells need longer leases
 //	hwgc-serve -trace-spans 0          # disable distributed span recording
 //
@@ -63,17 +61,16 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8077", "listen address")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size: jobs in flight at once")
-	queue := flag.Int("queue", 64, "max queued jobs; submissions past this get 503")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline (0 = none)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
+		"in-process workers simulating cells (0 = remote hwgc-worker processes only)")
+	queue := flag.Int("queue", 64, "max jobs waiting for a worker; cold submissions past this get 503")
+	jobTimeout := flag.Duration("job-timeout", 0, "per-job deadline from its first lease (0 = none)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory result cache entries (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist cached results under this directory")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long in-flight jobs may keep running after SIGINT/SIGTERM before being cancelled")
 	ledgerDir := flag.String("ledger", "", "append one run manifest per finished job under this directory")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	localWorkers := flag.Int("local-workers", 0,
-		"in-process workers simulating cells (default: the -workers value; 0 = remote hwgc-worker processes only)")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second,
 		"lease validity window; expired leases re-queue the job")
 	retain := flag.Int("retain", 0,
@@ -108,24 +105,21 @@ func main() {
 	if *traceSpans > 0 {
 		spans = &telemetry.WallSpans{MaxSpans: *traceSpans}
 	}
-	// The coordinator's hub carries service, cache, and cluster metrics for
+	// The coordinator's hub carries the cluster and cache metrics for
 	// /v1/metrics and /metrics. Simulations are not instrumented: nothing
 	// would read it.
 	coord := cluster.NewCoordinator(cluster.Config{
-		LeaseTTL: *leaseTTL,
-		Cache:    cache,
-		Spans:    spans,
-		Log:      logger,
+		LeaseTTL:       *leaseTTL,
+		Cache:          cache,
+		Spans:          spans,
+		Log:            logger,
+		MaxPending:     *queue,
+		RetainFinished: *retain,
+		JobTimeout:     *jobTimeout,
 	})
 
-	// -local-workers defaults to -workers; an explicit 0 means none, which
-	// the scheduler spells as a negative count.
+	// The scheduler spells "no in-process workers" as a negative count.
 	local := *workers
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "local-workers" {
-			local = *localWorkers
-		}
-	})
 	if local == 0 {
 		local = -1
 	}
@@ -133,13 +127,9 @@ func main() {
 	d := &service.Daemon{
 		Addr: *addr,
 		Scheduler: service.New(service.Config{
-			Workers:        *workers,
-			QueueDepth:     *queue,
-			JobTimeout:     *jobTimeout,
-			Coordinator:    coord,
-			LocalWorkers:   local,
-			Ledger:         store,
-			RetainFinished: *retain,
+			Workers:     local,
+			Coordinator: coord,
+			Ledger:      store,
 		}),
 		EnablePprof:  *pprofOn,
 		DrainTimeout: *drainTimeout,

@@ -1,16 +1,16 @@
 package cluster
 
-// The coordinator: job queue, worker table, lease table, and the dispatch
-// policy. Everything lives behind one mutex; the only background goroutine
-// is the janitor, which expires stale leases and silent workers on a
-// fixed tick.
+// The coordinator: job queue, worker table, lease table, retained job
+// history, and the dispatch policy. Everything lives behind one mutex; the
+// only background goroutine is the janitor, which expires stale leases,
+// silent workers, and jobs past their deadline on a fixed tick.
 //
 // Invariants:
 //
 //   - A job is in exactly one of: the pending queue, the lease table (via
 //     one active lease), or a terminal state. Terminal jobs leave the job
-//     table, so it holds only open work and stays bounded however long
-//     the coordinator runs.
+//     table for the bounded retained history (RetainFinished), so the
+//     table holds only open work however long the coordinator runs.
 //   - A job's result commits at most once. The first valid Complete wins;
 //     every later completion for the same job is dropped with
 //     Committed=false. Because attempts share the job's content-addressed
@@ -26,6 +26,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -82,7 +83,25 @@ type Config struct {
 	// Log, when set, receives structured coordinator events (registrations,
 	// expiries, retries) with job/worker/attempt fields.
 	Log *slog.Logger
+	// MaxPending bounds the jobs waiting for their first lease (<= 0 means
+	// unbounded). A submission that misses the cache while that many wait
+	// fails with ErrQueueFull; cache hits and re-queued retries are never
+	// refused.
+	MaxPending int
+	// RetainFinished bounds how many terminal jobs stay readable through
+	// Job and Jobs (0 means DefaultRetainFinished; negative means
+	// unlimited). The oldest-finished beyond the bound are evicted, which
+	// Evicted reports.
+	RetainFinished int
+	// JobTimeout cancels a job still open this long after its first lease
+	// grant (<= 0 means no deadline). A simulation cannot be interrupted:
+	// it finishes detached and its completion is dropped.
+	JobTimeout time.Duration
 }
+
+// DefaultRetainFinished is the retained-history bound when
+// Config.RetainFinished is 0.
+const DefaultRetainFinished = 4096
 
 // JobState is a cluster job's lifecycle position.
 type JobState string
@@ -120,10 +139,25 @@ type JobResult struct {
 	Spans   []telemetry.Span
 }
 
+// JobInfo is a point-in-time copy of one job's record: its spec, its
+// state and attribution so far, and its lifecycle stamps. Started is the
+// first lease grant (the submit time for a cache hit, the finish time for
+// a job cancelled before any grant); zero stamps have not happened yet.
+// Report and Spans share the job's immutable slices.
+type JobInfo struct {
+	Spec JobSpec
+	JobResult
+	Submitted, Started, Finished time.Time
+	// Beat is the job's progress heartbeat as passed to Submit (may be nil).
+	Beat *telemetry.Beat
+}
+
 // Job is one submitted cell. Mutable fields are guarded by the owning
-// coordinator's lock; wait on Done, then read Result.
+// coordinator's lock and frozen once Done closes; wait on Done, then read
+// Result or Info.
 type Job struct {
 	spec JobSpec
+	seq  int             // submission order
 	beat *telemetry.Beat // in-process progress mirror; nil when unused
 
 	state     JobState
@@ -135,19 +169,18 @@ type Job struct {
 	report    []byte
 	errMsg    string
 
-	// Trace bookkeeping (zero values when tracing is off). submitAt anchors
-	// the root span; queueStart the current queue-wait segment; attemptSpan
-	// and attemptStart the open attempt span, closed on completion, expiry,
-	// or cancellation.
+	submitted, started, finished time.Time
+
+	// Trace bookkeeping (zero values when tracing is off). queueStart marks
+	// the current queue-wait segment; attemptSpan and attemptStart the open
+	// attempt span, closed on completion, expiry, or cancellation.
 	traceID      string
 	rootSpan     string
-	submitAt     time.Time
 	queueStart   time.Time
 	attemptSpan  string
 	attemptStart time.Time
 	spans        []telemetry.Span
 
-	res  JobResult // populated before done closes
 	done chan struct{}
 }
 
@@ -158,9 +191,35 @@ func (j *Job) ID() string { return j.spec.ID }
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Result returns the terminal outcome; it blocks until the job finishes.
-func (j *Job) Result() JobResult {
+func (j *Job) Result() JobResult { return j.Info().JobResult }
+
+// Info returns the terminal record; it blocks until the job finishes.
+func (j *Job) Info() JobInfo {
 	<-j.done
-	return j.res
+	return j.infoLocked()
+}
+
+// infoLocked copies the job's record. Caller holds the coordinator lock,
+// or the job is terminal (its fields no longer change).
+func (j *Job) infoLocked() JobInfo {
+	return JobInfo{
+		Spec: j.spec,
+		JobResult: JobResult{
+			State:    j.state,
+			Report:   j.report,
+			Err:      j.errMsg,
+			Worker:   j.worker,
+			CacheHit: j.cacheHit,
+			Attempts: j.attempt,
+			Retries:  j.retries,
+			TraceID:  j.traceID,
+			Spans:    j.spans,
+		},
+		Submitted: j.submitted,
+		Started:   j.started,
+		Finished:  j.finished,
+		Beat:      j.beat,
+	}
 }
 
 // lease is one active grant.
@@ -195,6 +254,9 @@ type Coordinator struct {
 	rng      *rand.Rand
 	jobs     map[string]*Job // open (pending or leased) jobs only
 	pending  []*Job          // FIFO by submission; notBefore gates readiness
+	retained map[string]*Job // terminal jobs still readable, by ID
+	history  []*Job          // the retained jobs, oldest-finished first
+	retain   int             // history bound (<= 0: unlimited)
 	wake     chan struct{}   // closed and replaced whenever a job is queued
 	leases   map[string]*lease
 	workers  map[string]*workerState
@@ -209,6 +271,7 @@ type Coordinator struct {
 	leasesGranted, leasesExpired            uint64
 	affinityLocal, affinitySteal            uint64
 	workersRegistered, workersExpired       uint64
+	latency                                 telemetry.Histogram // submit to terminal, µs
 
 	closeOnce sync.Once
 	stop      chan struct{}
@@ -244,12 +307,18 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if seed == 0 {
 		seed = 1
 	}
+	retain := cfg.RetainFinished
+	if retain == 0 {
+		retain = DefaultRetainFinished
+	}
 	c := &Coordinator{
 		cfg:      cfg,
 		byID:     make(map[string]experiments.Runner, len(runners)),
 		flight:   NewFlightRecorder(cfg.FlightEvents),
 		rng:      rand.New(rand.NewSource(int64(seed))),
 		jobs:     make(map[string]*Job),
+		retained: make(map[string]*Job),
+		retain:   retain,
 		leases:   make(map[string]*lease),
 		workers:  make(map[string]*workerState),
 		affinity: make(map[string]string),
@@ -293,10 +362,12 @@ func (c *Coordinator) Close() {
 	<-c.stopped
 }
 
-// Submit enqueues one job. A configured cache is consulted first: a hit
-// completes the job immediately without dispatching. beat, when non-nil,
-// receives the job's simulated cycles: an in-process worker drives it
-// directly, a remote one through its heartbeats.
+// Submit enqueues one job under a fresh "job-%06d" ID (spec.ID is
+// overwritten). A configured cache is consulted first: a hit completes the
+// job immediately without dispatching. A miss fails with ErrQueueFull when
+// MaxPending jobs already wait. beat, when non-nil, receives the job's
+// simulated cycles: an in-process worker drives it directly, a remote one
+// through its heartbeats.
 func (c *Coordinator) Submit(spec JobSpec, beat *telemetry.Beat) (*Job, error) {
 	if _, ok := c.byID[spec.Experiment]; !ok {
 		return nil, fmt.Errorf("%w: %q (valid: %v)", ErrUnknownExperiment, spec.Experiment, c.ids)
@@ -322,19 +393,17 @@ func (c *Coordinator) Submit(spec JobSpec, beat *telemetry.Beat) (*Job, error) {
 	if c.draining {
 		return nil, ErrDraining
 	}
-	if spec.ID == "" {
-		c.seqJob++
-		spec.ID = fmt.Sprintf("cjob-%06d", c.seqJob)
+	if hit == nil && c.cfg.MaxPending > 0 && c.waitingLocked() >= c.cfg.MaxPending {
+		return nil, ErrQueueFull
 	}
-	if _, dup := c.jobs[spec.ID]; dup {
-		return nil, fmt.Errorf("cluster: duplicate job ID %q", spec.ID)
-	}
-	job := &Job{spec: spec, beat: beat, state: JobPending, done: make(chan struct{})}
+	c.seqJob++
+	spec.ID = jobID(c.seqJob)
+	now := time.Now()
+	job := &Job{spec: spec, seq: c.seqJob, beat: beat, state: JobPending,
+		submitted: now, done: make(chan struct{})}
 	if c.cfg.Spans != nil {
-		now := time.Now()
 		job.traceID = c.cfg.Spans.NewTraceID()
 		job.rootSpan = c.cfg.Spans.NewSpanID()
-		job.submitAt = now
 		job.queueStart = now
 		// The context rides the wire inside the spec so worker-side spans
 		// join the same trace.
@@ -348,6 +417,7 @@ func (c *Coordinator) Submit(spec JobSpec, beat *telemetry.Beat) (*Job, error) {
 	if hit != nil {
 		job.cacheHit = true
 		job.report = hit
+		job.started = now
 		c.flight.Record(FlightEvent{Kind: "cache.hit", JobID: spec.ID, TraceID: job.traceID})
 		c.finishLocked(job, JobSucceeded, "")
 		return job, nil
@@ -355,6 +425,21 @@ func (c *Coordinator) Submit(spec JobSpec, beat *telemetry.Beat) (*Job, error) {
 	c.pending = append(c.pending, job)
 	c.wakeLocked()
 	return job, nil
+}
+
+// jobID formats the n-th minted job ID.
+func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+
+// waitingLocked counts pending jobs that were never leased: re-queued
+// retries do not count against MaxPending. Caller holds c.mu.
+func (c *Coordinator) waitingLocked() int {
+	n := 0
+	for _, job := range c.pending {
+		if job.attempt == 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // wakeLocked tells idle in-process workers that a job was queued, so they
@@ -525,6 +610,9 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	job.state = JobLeased
 	job.attempt++
 	job.worker = w.name
+	if job.started.IsZero() {
+		job.started = now
+	}
 	c.leasesGranted++
 	if job.traceID != "" {
 		// Close the queue-wait segment and open this attempt's span; the
@@ -698,14 +786,18 @@ func (c *Coordinator) backoffLocked(attempt int) time.Duration {
 	return d
 }
 
-// finishLocked moves a job to a terminal state, drops it from the job
-// table, and publishes its result. Caller holds c.mu.
+// finishLocked moves a job to a terminal state, from the job table into
+// the retained history, and publishes its result. Caller holds c.mu.
 func (c *Coordinator) finishLocked(job *Job, st JobState, errMsg string) {
 	delete(c.jobs, job.spec.ID)
+	now := time.Now()
 	job.state = st
-	if errMsg != "" {
-		job.errMsg = errMsg
+	job.errMsg = errMsg // a success clears the reason an earlier retry left
+	job.finished = now
+	if job.started.IsZero() {
+		job.started = now // cancelled before any lease grant
 	}
+	c.latency.Observe(uint64(max(now.Sub(job.submitted).Microseconds(), 0)))
 	switch st {
 	case JobSucceeded:
 		c.completed++
@@ -730,18 +822,14 @@ func (c *Coordinator) finishLocked(job *Job, st JobState, errMsg string) {
 		// the whole lifetime and would paint over its children, so the
 		// waterfall uses it for the time extent only.
 		//hwgc:allow wire root job span is classified as slot 0 (undrawn) by design
-		c.spanLocked(job, job.rootSpan, "", "job", job.submitAt, time.Now(), attrs)
+		c.spanLocked(job, job.rootSpan, "", "job", job.submitted, now, attrs)
 	}
-	job.res = JobResult{
-		State:    st,
-		Report:   job.report,
-		Err:      job.errMsg,
-		Worker:   job.worker,
-		CacheHit: job.cacheHit,
-		Attempts: job.attempt,
-		Retries:  job.retries,
-		TraceID:  job.traceID,
-		Spans:    job.spans,
+	c.retained[job.spec.ID] = job
+	c.history = append(c.history, job)
+	for c.retain > 0 && len(c.history) > c.retain {
+		delete(c.retained, c.history[0].spec.ID)
+		c.history[0] = nil
+		c.history = c.history[1:]
 	}
 	close(job.done)
 }
@@ -821,13 +909,14 @@ func (c *Coordinator) cancelLocked(job *Job, reason string) {
 	c.finishLocked(job, JobCancelled, reason)
 }
 
-// janitor expires stale leases (re-queue with backoff) and silent workers
-// (their leases re-queue immediately, their affinity claims release).
+// janitor expires stale leases (re-queue with backoff), silent workers
+// (their leases re-queue immediately, their affinity claims release), and
+// jobs past JobTimeout (cancelled).
 func (c *Coordinator) janitor() {
 	defer close(c.stopped)
-	tick := c.cfg.LeaseTTL / 4
-	if w := c.cfg.WorkerExpiry / 4; w < tick {
-		tick = w
+	tick := min(c.cfg.LeaseTTL, c.cfg.WorkerExpiry) / 4
+	if j := c.cfg.JobTimeout / 4; j > 0 && j < tick {
+		tick = j
 	}
 	if tick < 5*time.Millisecond {
 		tick = 5 * time.Millisecond
@@ -895,6 +984,13 @@ func (c *Coordinator) sweep() {
 		c.endAttemptLocked(l.job, worker, "expired")
 		c.retryLocked(l.job, fmt.Sprintf("lease %s expired", l.id))
 	}
+	if c.cfg.JobTimeout > 0 {
+		for _, job := range c.jobs {
+			if !job.started.IsZero() && now.Sub(job.started) >= c.cfg.JobTimeout {
+				c.cancelLocked(job, fmt.Sprintf("job timeout: still open %s after its first lease", c.cfg.JobTimeout))
+			}
+		}
+	}
 }
 
 // Drain stops the coordinator gracefully: new submissions fail with
@@ -926,6 +1022,52 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		case <-t.C:
 		}
 	}
+}
+
+// Job returns a snapshot of the open or retained job with this ID.
+func (c *Coordinator) Job(id string) (JobInfo, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	job, ok := c.jobs[id]
+	if !ok {
+		job, ok = c.retained[id]
+	}
+	if !ok {
+		return JobInfo{}, false
+	}
+	return job.infoLocked(), true
+}
+
+// Jobs returns a snapshot of every open and retained job in submission
+// order.
+func (c *Coordinator) Jobs() []JobInfo {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	all := make([]*Job, 0, len(c.jobs)+len(c.history))
+	all = append(all, c.history...)
+	for _, job := range c.jobs {
+		all = append(all, job)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	out := make([]JobInfo, len(all))
+	for i, job := range all {
+		out[i] = job.infoLocked()
+	}
+	return out
+}
+
+// Evicted reports whether id names a job this coordinator minted that has
+// since left the retained history — distinct from an ID never issued.
+func (c *Coordinator) Evicted(id string) bool {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err != nil || n <= 0 || jobID(n) != id {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, open := c.jobs[id]
+	_, kept := c.retained[id]
+	return n <= c.seqJob && !open && !kept
 }
 
 // Dispatch submits one cell and waits for its terminal result, whose

@@ -33,6 +33,7 @@ const (
 	codeUnknownWorker     errorCode = "unknown-worker"
 	codeDraining          errorCode = "draining"
 	codeUnknownExperiment errorCode = "unknown-experiment"
+	codeQueueFull         errorCode = "queue-full"
 	codeInternal          errorCode = "internal"
 )
 
@@ -55,6 +56,8 @@ func codeOf(err error) (errorCode, int) {
 		return codeDraining, http.StatusServiceUnavailable
 	case errors.Is(err, ErrUnknownExperiment):
 		return codeUnknownExperiment, http.StatusBadRequest
+	case errors.Is(err, ErrQueueFull):
+		return codeQueueFull, http.StatusServiceUnavailable
 	}
 	return codeInternal, http.StatusInternalServerError
 }
@@ -72,6 +75,8 @@ func sentinelOf(code errorCode) error {
 		return ErrDraining
 	case codeUnknownExperiment:
 		return ErrUnknownExperiment
+	case codeQueueFull:
+		return ErrQueueFull
 	}
 	return nil
 }

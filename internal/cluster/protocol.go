@@ -48,12 +48,15 @@ var (
 	// ErrUnknownExperiment reports a job submission naming no served runner
 	// (HTTP 400).
 	ErrUnknownExperiment = errors.New("cluster: unknown experiment")
+	// ErrQueueFull reports a submission refused because Config.MaxPending
+	// jobs already wait for a lease (HTTP 503).
+	ErrQueueFull = errors.New("cluster: job queue full")
 )
 
 // JobSpec describes one simulation cell on the wire.
 type JobSpec struct {
-	// ID is the coordinator-scoped job identifier (assigned by Submit when
-	// empty).
+	// ID is the coordinator-scoped job identifier, "job-%06d" (assigned by
+	// Submit).
 	ID string `json:"id"`
 	// Experiment is the runner ID (experiments.All).
 	Experiment string `json:"experiment"`

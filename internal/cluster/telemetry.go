@@ -60,6 +60,21 @@ func (c *Coordinator) attachTelemetry(h *telemetry.Hub) {
 	reg.Gauge("cluster.jobs.pending", gauge(func() float64 { return float64(len(c.pending)) }))
 	reg.Gauge("cluster.leases.active", gauge(func() float64 { return float64(len(c.leases)) }))
 	reg.Gauge("cluster.workers.connected", gauge(func() float64 { return float64(len(c.workers)) }))
+	reg.Gauge("cluster.jobs.inflight_cycles", gauge(func() float64 {
+		var sum uint64
+		for _, l := range c.leases {
+			sum += l.job.beat.Cycles()
+		}
+		return float64(sum)
+	}))
+	// The latency histogram is guarded by c.mu (registry histograms are not
+	// lock-free), so it is published as locked reads rather than as a raw
+	// registry histogram.
+	reg.CounterFunc("cluster.job.latency.count", locked(func() uint64 { return c.latency.Count() }))
+	reg.Gauge("cluster.job.latency.mean_us", gauge(func() float64 { return c.latency.Mean() }))
+	reg.Gauge("cluster.job.latency.max_us", gauge(func() float64 { return float64(c.latency.Max()) }))
+	reg.Gauge("cluster.job.latency.p50_us", gauge(func() float64 { return c.latency.Quantile(0.50) }))
+	reg.Gauge("cluster.job.latency.p99_us", gauge(func() float64 { return c.latency.Quantile(0.99) }))
 	if c.cfg.Cache != nil {
 		c.cfg.Cache.AttachTelemetry(h)
 	}

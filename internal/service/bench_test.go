@@ -1,8 +1,8 @@
 package service
 
 // BenchmarkServiceCacheHit measures the service's hit path end to end in
-// process: Submit, the pool worker's dispatch to the coordinator, the
-// coordinator's cache lookup, and the job's finish. It is what every
+// process: Submit (the cell's content address), the coordinator's cache
+// lookup, and the job's finish into the retained history. It is what every
 // repeated hwgc-serve request pays beside HTTP, with span recording on as
 // in the daemon's default; scripts/allocguard.sh holds its allocs/op to
 // budget.
@@ -23,8 +23,8 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	coord := cluster.NewCoordinator(cluster.Config{Cache: cache, Spans: telemetry.NewWallSpans()})
-	s := New(Config{Workers: 1, Coordinator: coord, RetainFinished: 64})
+	coord := cluster.NewCoordinator(cluster.Config{Cache: cache, Spans: telemetry.NewWallSpans(), RetainFinished: 64})
+	s := New(Config{Workers: 1, Coordinator: coord})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -110,9 +110,11 @@ func TestSchedulerDispatchFailureAndTimeout(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	s2 := New(Config{
-		Workers:     1,
-		JobTimeout:  20 * time.Millisecond,
-		Coordinator: coordinator(blockingRunner("x", release)),
+		Workers: 1,
+		Coordinator: cluster.NewCoordinator(cluster.Config{
+			Runners:    []experiments.Runner{blockingRunner("x", release)},
+			JobTimeout: 20 * time.Millisecond,
+		}),
 	})
 	defer drain(t, s2)
 	job2, err := s2.Submit("x", experiments.QuickOptions())
@@ -133,9 +135,11 @@ func TestFinishedJobEviction(t *testing.T) {
 	release := make(chan struct{})
 	close(release) // runners return immediately
 	s := New(Config{
-		Workers:        1,
-		RetainFinished: 1,
-		Coordinator:    coordinator(blockingRunner("fast", release)),
+		Workers: 1,
+		Coordinator: cluster.NewCoordinator(cluster.Config{
+			Runners:        []experiments.Runner{blockingRunner("fast", release)},
+			RetainFinished: 1,
+		}),
 	})
 	defer drain(t, s)
 
@@ -167,9 +171,11 @@ func TestJobMissHTTPStatus(t *testing.T) {
 	release := make(chan struct{})
 	close(release)
 	s := New(Config{
-		Workers:        1,
-		RetainFinished: 1,
-		Coordinator:    coordinator(blockingRunner("fast", release)),
+		Workers: 1,
+		Coordinator: cluster.NewCoordinator(cluster.Config{
+			Runners:        []experiments.Runner{blockingRunner("fast", release)},
+			RetainFinished: 1,
+		}),
 	})
 	d := &Daemon{Addr: "127.0.0.1:0", Scheduler: s, DrainTimeout: 10 * time.Second}
 	base, _ := startDaemon(t, d)

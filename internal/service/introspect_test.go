@@ -106,8 +106,8 @@ func TestMetricsEndpointsAlwaysOn(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &parsed); err != nil {
 		t.Fatalf("/v1/metrics is not JSON: %v\n%s", err, body)
 	}
-	for _, want := range []string{"service.jobs.submitted", "service.queue.depth",
-		"service.jobs.running", "resultcache.hits"} {
+	for _, want := range []string{"cluster.jobs.submitted", "cluster.jobs.pending",
+		"cluster.leases.active", "resultcache.hits"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/v1/metrics missing %q", want)
 		}
@@ -118,8 +118,8 @@ func TestMetricsEndpointsAlwaysOn(t *testing.T) {
 		t.Errorf("/metrics content type = %q", ct)
 	}
 	for _, want := range []string{
-		"# TYPE hwgc_service_queue_depth gauge",
-		"hwgc_service_jobs_completed 1",
+		"# TYPE hwgc_cluster_jobs_pending gauge",
+		"hwgc_cluster_jobs_completed 1",
 		"hwgc_resultcache_hits 0",
 		"hwgc_resultcache_misses 1",
 	} {

@@ -1,13 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hwgc/internal/cluster"
 	"hwgc/internal/experiments"
+	"hwgc/internal/ledger"
 	"hwgc/internal/resultcache"
 	"hwgc/internal/telemetry"
 )
@@ -63,12 +69,20 @@ func TestSubmitUnknownExperiment(t *testing.T) {
 
 func TestQueueFull(t *testing.T) {
 	release := make(chan struct{})
+	cache, err := resultcache.New(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(Config{
-		Workers:     1,
-		QueueDepth:  1,
-		Coordinator: coordinator(blockingRunner("block", release)),
+		Workers: 1,
+		Coordinator: cluster.NewCoordinator(cluster.Config{
+			Runners:    []experiments.Runner{blockingRunner("block", release), blockingRunner("fast", closed())},
+			Cache:      cache,
+			MaxPending: 1,
+		}),
 	})
 	defer drain(t, s)
+	mustFinish(t, s, "fast", experiments.Options{}) // cache the cell
 
 	// First job occupies the lone worker, second fills the queue.
 	first, err := s.Submit("block", experiments.Options{})
@@ -82,6 +96,10 @@ func TestQueueFull(t *testing.T) {
 	if _, err := s.Submit("block", experiments.Options{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit err = %v, want ErrQueueFull", err)
 	}
+	// A full queue never refuses a cache hit.
+	if v := mustFinish(t, s, "fast", experiments.Options{}); !v.CacheHit {
+		t.Fatal("cached cell submitted at a full queue was not a cache hit")
+	}
 	close(release)
 }
 
@@ -89,9 +107,11 @@ func TestJobTimeoutCancels(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release) // let the detached sim goroutine exit
 	s := New(Config{
-		Workers:     1,
-		JobTimeout:  20 * time.Millisecond,
-		Coordinator: coordinator(blockingRunner("stuck", release)),
+		Workers: 1,
+		Coordinator: cluster.NewCoordinator(cluster.Config{
+			Runners:    []experiments.Runner{blockingRunner("stuck", release)},
+			JobTimeout: 20 * time.Millisecond,
+		}),
 	})
 	defer drain(t, s)
 
@@ -141,6 +161,137 @@ func TestDrainCancelsInFlightAtDeadline(t *testing.T) {
 	}
 }
 
+// TestCacheHitNotBehindColdJob: with the lone in-process worker parked on
+// a cold cell, a cache hit for another cell still finishes at once — hits
+// never wait for a worker.
+func TestCacheHitNotBehindColdJob(t *testing.T) {
+	release := make(chan struct{})
+	cache, err := resultcache.New(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{
+		Workers: 1,
+		Coordinator: cluster.NewCoordinator(cluster.Config{
+			Runners: []experiments.Runner{blockingRunner("block", release), blockingRunner("fast", closed())},
+			Cache:   cache,
+		}),
+	})
+	defer drain(t, s)
+	defer close(release) // runs before the drain, so the cold job completes
+
+	mustFinish(t, s, "fast", experiments.Options{}) // cache the cell
+
+	cold, err := s.Submit("block", experiments.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, cold.ID(), StateRunning)
+	hit, err := s.Submit("fast", experiments.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-hit.Done():
+	case <-time.After(2 * time.Second):
+		v, _ := s.View(hit.ID())
+		t.Fatalf("cache hit still %s after 2s behind a running cold job", v.State)
+	}
+	if v, _ := s.View(hit.ID()); v.State != StateSucceeded || !v.CacheHit {
+		t.Fatalf("hit view = %s (cache hit %v), want a succeeded cache hit", v.State, v.CacheHit)
+	}
+}
+
+// TestDrainDeadlineKeepsManifests: a job cancelled at the drain deadline
+// has its manifest in the ledger by the time Drain returns.
+func TestDrainDeadlineKeepsManifests(t *testing.T) {
+	store, err := ledger.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	defer close(release)
+	s := New(Config{
+		Workers:     1,
+		Ledger:      store,
+		Coordinator: coordinator(blockingRunner("stuck", release)),
+	})
+	job, err := s.Submit("stuck", experiments.Options{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, job.ID(), StateRunning)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	m, _, err := store.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m == nil {
+		t.Fatal("no manifest for the job cancelled at the drain deadline")
+	}
+	rec, ok := m.Experiment("stuck")
+	if !ok || rec.Error == "" || m.Scale.Seed != 9 {
+		t.Fatalf("manifest = %+v, want the cancelled stuck job with its reason", m)
+	}
+}
+
+// TestDrainRacingSubmits: submissions racing a drain either fail with
+// ErrDraining or have their manifest in the ledger when Drain returns.
+func TestDrainRacingSubmits(t *testing.T) {
+	dir := t.TempDir()
+	store, err := ledger.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := resultcache.New(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{
+		Workers: 1,
+		Ledger:  store,
+		Coordinator: cluster.NewCoordinator(cluster.Config{
+			Runners: []experiments.Runner{blockingRunner("fast", closed())},
+			Cache:   cache,
+		}),
+	})
+	mustFinish(t, s, "fast", experiments.Options{}) // cached: every racing submit is a hit
+	var accepted atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if _, err := s.Submit("fast", experiments.Options{}); err != nil {
+					if !errors.Is(err, ErrDraining) {
+						t.Errorf("submit: %v", err)
+					}
+					return
+				}
+				accepted.Add(1)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); accepted.Load() < 8 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	drain(t, s)
+	index, err := os.ReadFile(filepath.Join(dir, "index.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if got, want := bytes.Count(index, []byte("\n")), 1+int(accepted.Load()); got != want {
+		t.Fatalf("ledger holds %d manifests when Drain returned, want one per accepted job (%d)", got, want)
+	}
+}
+
 func TestSchedulerCacheHitTelemetry(t *testing.T) {
 	cache, err := resultcache.New(16, "")
 	if err != nil {
@@ -165,10 +316,10 @@ func TestSchedulerCacheHitTelemetry(t *testing.T) {
 
 	reg := hub.Snapshot()
 	for name, want := range map[string]float64{
-		"service.jobs.submitted":    2,
-		"service.jobs.completed":    2,
-		"service.jobs.cachehits":    1,
-		"service.job.latency.count": 2,
+		"cluster.jobs.submitted":    2,
+		"cluster.jobs.completed":    2,
+		"cluster.jobs.cachehits":    1,
+		"cluster.job.latency.count": 2,
 		"resultcache.hits":          1,
 		"resultcache.misses":        1,
 	} {

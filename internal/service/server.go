@@ -18,7 +18,7 @@ package service
 //	                              can join any daemon
 //
 // The metrics endpoints are always on: they serve the coordinator's hub,
-// which carries the service, coordinator, and result-cache counters.
+// which carries the coordinator and result-cache counters.
 // Error responses are {"error": "..."}; an unknown experiment additionally
 // carries "validExperiments" so clients can self-correct.
 
@@ -197,8 +197,7 @@ func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	}
 	v, _ := s.View(job.ID())
 	status := http.StatusAccepted
-	switch v.State {
-	case StateSucceeded, StateFailed, StateCancelled:
+	if v.State.terminal() {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, v)

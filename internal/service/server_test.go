@@ -110,11 +110,11 @@ func TestServiceCacheHitIntegration(t *testing.T) {
 
 	// Metrics are visible both on the hub and through the API.
 	reg := hub.Snapshot()
-	if v, ok := reg.Value("service.jobs.cachehits"); !ok || v != 1 {
-		t.Errorf("service.jobs.cachehits = %v, %v; want 1", v, ok)
+	if v, ok := reg.Value("cluster.jobs.cachehits"); !ok || v != 1 {
+		t.Errorf("cluster.jobs.cachehits = %v, %v; want 1", v, ok)
 	}
-	if v, ok := reg.Value("service.job.latency.count"); !ok || v != 2 {
-		t.Errorf("service.job.latency.count = %v, %v; want 2", v, ok)
+	if v, ok := reg.Value("cluster.job.latency.count"); !ok || v != 2 {
+		t.Errorf("cluster.job.latency.count = %v, %v; want 2", v, ok)
 	}
 	if v, ok := reg.Value("resultcache.hitrate"); !ok || v != 0.5 {
 		t.Errorf("resultcache.hitrate = %v, %v; want 0.5", v, ok)
@@ -304,7 +304,7 @@ func TestServiceJobReportHTTP(t *testing.T) {
 
 // TestMetricsScrapeDuringColdRun scrapes /v1/metrics and /metrics in a loop
 // while a cold fig16 job simulates, with the wiring hwgc-serve uses (one
-// hub for the service, the cache, and the endpoints). Under -race this
+// hub for the coordinator, the cache, and the endpoints). Under -race this
 // guards the daemon's contract that serving metrics never reads state a
 // running simulation writes: jobs' simulations are not instrumented.
 func TestMetricsScrapeDuringColdRun(t *testing.T) {
@@ -349,7 +349,7 @@ func TestMetricsScrapeDuringColdRun(t *testing.T) {
 			}
 			b, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || !bytes.Contains(b, []byte("service")) {
+			if resp.StatusCode != http.StatusOK || !bytes.Contains(b, []byte("cluster")) {
 				t.Fatalf("GET %s = %d\n%s", path, resp.StatusCode, b)
 			}
 			scrapes++

@@ -7,7 +7,8 @@
 # 638M -> 16M allocs/op overhaul (see docs/PERFORMANCE.md).
 #
 #   scripts/allocguard.sh             # compare against the budget file
-#   scripts/allocguard.sh -update     # rewrite budgets from this run
+#   scripts/allocguard.sh -update     # rewrite the budget numbers from this run,
+#                                     # keeping the file's comments and order
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,13 +22,26 @@ go test -run '^$' \
     -benchmem -benchtime=1x . ./internal/cluster/ ./internal/service/ ./internal/telemetry/ | tee "$raw"
 
 if [ "${1:-}" = "-update" ]; then
-    {
-        head -8 "$budget" | grep '^#' || true
-        awk '/^Benchmark/ && /allocs\/op/ {
-            name = $1; sub(/-[0-9]+$/, "", name)
-            for (i = 4; i <= NF; i++) if ($i == "allocs/op") print name, $(i - 1)
-        }' "$raw"
-    } > "$budget.tmp" && mv "$budget.tmp" "$budget"
+    # Only the numbers change: comment lines and the benchmark order stay;
+    # a measured benchmark the file does not list yet is appended.
+    awk -v budget="$budget" '
+    /^Benchmark/ && /allocs\/op/ {
+        name = $1; sub(/-[0-9]+$/, "", name)
+        for (i = 4; i <= NF; i++) if ($i == "allocs/op") got[name] = $(i - 1)
+        if (!(name in seen)) { seen[name] = 1; order[++n] = name }
+    }
+    END {
+        while ((getline line < budget) > 0) {
+            split(line, f, " ")
+            if (line !~ /^#/ && (f[1] in got)) {
+                print f[1], got[f[1]]
+                listed[f[1]] = 1
+            } else {
+                print line
+            }
+        }
+        for (i = 1; i <= n; i++) if (!(order[i] in listed)) print order[i], got[order[i]]
+    }' "$raw" > "$budget.tmp" && mv "$budget.tmp" "$budget"
     echo "rewrote $budget"
     exit 0
 fi
