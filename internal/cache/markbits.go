@@ -1,5 +1,7 @@
 package cache
 
+import "hwgc/internal/sim"
+
 // MarkBits is the small mark-bit cache from the paper (Section V-C,
 // Figure 21): a fully-associative LRU filter over recently marked object
 // addresses. The paper observes that ~56 hot objects receive about 10% of
@@ -9,8 +11,7 @@ package cache
 // A capacity of 0 disables the filter (every lookup misses).
 type MarkBits struct {
 	capacity int
-	slots    map[uint64]uint64 // addr -> last-use tick
-	tick     uint64
+	recent   *sim.LRU[uint64, struct{}]
 
 	// Lookups counts filter probes.
 	Lookups uint64
@@ -20,7 +21,7 @@ type MarkBits struct {
 
 // NewMarkBits returns a filter holding up to capacity addresses.
 func NewMarkBits(capacity int) *MarkBits {
-	return &MarkBits{capacity: capacity, slots: make(map[uint64]uint64, capacity)}
+	return &MarkBits{capacity: capacity, recent: sim.NewLRU[uint64, struct{}](capacity)}
 }
 
 // Capacity returns the configured entry count.
@@ -29,29 +30,18 @@ func (m *MarkBits) Capacity() int { return m.capacity }
 // Probe checks whether addr was recently marked; on miss the address is
 // inserted (evicting the least recently used entry when full). It returns
 // true when the mark request can be elided.
+//
+//hwgc:hotpath
 func (m *MarkBits) Probe(addr uint64) bool {
 	m.Lookups++
 	if m.capacity == 0 {
 		return false
 	}
-	m.tick++
-	if _, ok := m.slots[addr]; ok {
-		m.slots[addr] = m.tick
+	if _, ok := m.recent.Get(addr); ok {
 		m.Hits++
 		return true
 	}
-	if len(m.slots) >= m.capacity {
-		var lruAddr uint64
-		lru := ^uint64(0)
-		for a, t := range m.slots {
-			if t < lru {
-				lru = t
-				lruAddr = a
-			}
-		}
-		delete(m.slots, lruAddr)
-	}
-	m.slots[addr] = m.tick
+	m.recent.Put(addr, struct{}{})
 	return false
 }
 
@@ -65,8 +55,7 @@ func (m *MarkBits) HitRate() float64 {
 
 // Reset clears contents and counters.
 func (m *MarkBits) Reset() {
-	m.slots = make(map[uint64]uint64, m.capacity)
-	m.tick = 0
+	m.recent.Clear()
 	m.Lookups = 0
 	m.Hits = 0
 }

@@ -38,6 +38,7 @@ type Bus struct {
 	ports     []*Port
 	rr        int
 	tick      *sim.Ticker
+	wake      func() // b.tick.Wake, bound once so a busy cycle allocates nothing
 	busyUntil uint64
 
 	// Grants counts arbiter grants (requests accepted into memory).
@@ -68,7 +69,8 @@ type Bus struct {
 func New(eng *sim.Engine, mem dram.Memory) *Bus {
 	b := &Bus{eng: eng, mem: mem}
 	b.tick = sim.NewTicker(eng, b.step)
-	mem.SetOnSpace(func() { b.tick.Wake() })
+	b.wake = b.tick.Wake
+	mem.SetOnSpace(b.wake)
 	return b
 }
 
@@ -106,10 +108,12 @@ func (b *Bus) AttachTelemetry(h *telemetry.Hub) {
 
 // step grants one request when the port channel is free; the message then
 // occupies the channel for its header and data beats.
+//
+//hwgc:hotpath
 func (b *Bus) step() bool {
 	now := b.eng.Now()
 	if now < b.busyUntil {
-		b.eng.At(b.busyUntil, func() { b.tick.Wake() })
+		b.eng.At(b.busyUntil, b.wake)
 		return false
 	}
 	n := len(b.ports)

@@ -1,28 +1,26 @@
 package vmem
 
+import "hwgc/internal/sim"
+
 // TLB is a fully-associative translation lookaside buffer with LRU
 // replacement. Entries remember their page size so superpage translations
 // occupy a single entry with 2 MiB reach (the paper's suggested mitigation
 // for large heaps).
 type TLB struct {
 	capacity int
-	slots    map[uint64]tlbEntry // key: va >> pageBits combined with size
-	tick     uint64
+	entries  *sim.LRU[uint64, uint64] // key(va, pageBits) -> physical page base
 
 	// Hits and Misses count lookups.
 	Hits   uint64
 	Misses uint64
 }
 
-type tlbEntry struct {
-	base     uint64 // physical base of the page
-	pageBits int
-	lastUse  uint64
-}
+// probeBits are the page sizes a lookup probes, smallest first.
+var probeBits = [...]int{PageBits, SuperPageBits}
 
 // NewTLB returns a TLB with the given entry count.
 func NewTLB(capacity int) *TLB {
-	return &TLB{capacity: capacity, slots: make(map[uint64]tlbEntry, capacity)}
+	return &TLB{capacity: capacity, entries: sim.NewLRU[uint64, uint64](capacity)}
 }
 
 // Capacity returns the configured entry count.
@@ -33,15 +31,13 @@ func key(va uint64, pageBits int) uint64 {
 }
 
 // Lookup translates va. It probes both 4 KiB and superpage entries.
+//
+//hwgc:hotpath
 func (t *TLB) Lookup(va uint64) (pa uint64, ok bool) {
-	t.tick++
-	for _, bits := range []int{PageBits, SuperPageBits} {
-		k := key(va, bits)
-		if e, found := t.slots[k]; found {
-			e.lastUse = t.tick
-			t.slots[k] = e
+	for _, bits := range probeBits {
+		if base, found := t.entries.Get(key(va, bits)); found {
 			t.Hits++
-			return e.base + va&((1<<uint(bits))-1), true
+			return base + va&((1<<uint(bits))-1), true
 		}
 	}
 	t.Misses++
@@ -49,36 +45,34 @@ func (t *TLB) Lookup(va uint64) (pa uint64, ok bool) {
 }
 
 // Insert installs a translation for the page containing va.
+//
+//hwgc:hotpath
 func (t *TLB) Insert(va, pa uint64, pageBits int) {
 	if t.capacity == 0 {
 		return
 	}
-	t.tick++
-	if len(t.slots) >= t.capacity {
-		var lruKey uint64
-		lru := ^uint64(0)
-		for k, e := range t.slots {
-			if e.lastUse < lru {
-				lru = e.lastUse
-				lruKey = k
-			}
-		}
-		delete(t.slots, lruKey)
+	// A full TLB evicts its LRU entry even when va's page is already
+	// present, then updates that entry in place, so it can end one entry
+	// short of capacity. L2 TLBs hit this when two translators' walks for
+	// the same page queue one behind the other. Filling to capacity
+	// instead would move simulated cycles, so the quirk is kept.
+	if t.entries.Len() >= t.capacity {
+		t.entries.EvictOldest()
 	}
 	mask := uint64(1)<<uint(pageBits) - 1
-	t.slots[key(va, pageBits)] = tlbEntry{base: pa &^ mask, pageBits: pageBits, lastUse: t.tick}
+	t.entries.Put(key(va, pageBits), pa&^mask)
 }
 
 // InvalidatePage removes the entry covering va, if present.
 func (t *TLB) InvalidatePage(va uint64) {
-	for _, bits := range []int{PageBits, SuperPageBits} {
-		delete(t.slots, key(va, bits))
+	for _, bits := range probeBits {
+		t.entries.Remove(key(va, bits))
 	}
 }
 
 // Flush empties the TLB.
 func (t *TLB) Flush() {
-	t.slots = make(map[uint64]tlbEntry, t.capacity)
+	t.entries.Clear()
 }
 
 // HitRate returns Hits / (Hits + Misses).

@@ -16,10 +16,10 @@ budget="scripts/alloc_budget.txt"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "== allocation sentinel: quick suite + image, cluster, service, and telemetry micro-benchmarks (1 iteration)"
+echo "== allocation sentinel: quick suite + image, cluster, service, telemetry and TLB micro-benchmarks (1 iteration)"
 go test -run '^$' \
-    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkServiceCacheHit$|BenchmarkWallSpanOff$|BenchmarkTelemetryMetrics$' \
-    -benchmem -benchtime=1x . ./internal/cluster/ ./internal/service/ ./internal/telemetry/ | tee "$raw"
+    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkServiceCacheHit$|BenchmarkWallSpanOff$|BenchmarkTelemetryMetrics$|BenchmarkTLBInsertFull$|BenchmarkTLBLookupHit$' \
+    -benchmem -benchtime=1x . ./internal/cluster/ ./internal/service/ ./internal/telemetry/ ./internal/vmem/ | tee "$raw"
 
 if [ "${1:-}" = "-update" ]; then
     # Only the numbers change: comment lines and the benchmark order stay;

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Host-performance benchmark harness: runs the event-engine micro-benchmarks
-# (value-typed 4-ary heap vs the boxed container/heap baseline), the per-cell
-# image-construction comparison (cold build vs snapshot clone), and the
-# end-to-end quick-suite benchmarks (serial vs parallel fleet), then appends
-# one JSONL trajectory line to BENCH_host.json — keyed by git SHA and date —
-# so host performance is a time series across commits, not a single snapshot.
+# (value-typed 4-ary heap vs the boxed container/heap baseline), the unit
+# models' TLB micro-benchmarks, the per-cell image-construction comparison
+# (cold build vs snapshot clone), and the end-to-end quick-suite benchmarks
+# (serial vs parallel fleet), then appends one JSONL trajectory line to
+# BENCH_host.json — keyed by git SHA and date — so host performance is a
+# time series across commits, not a single snapshot.
 #
 #   scripts/bench.sh                # appends to ./BENCH_host.json
 #   scripts/bench.sh /tmp/out.json  # appends elsewhere
@@ -33,6 +34,10 @@ ncpu="$(nproc 2>/dev/null || echo 1)"
 echo "== engine micro-benchmarks (ns/op, allocs/op)"
 go test -run '^$' -bench 'BenchmarkHostEngine' -benchmem -benchtime=200ms \
     ./internal/sim | tee -a "$raw"
+
+echo "== unit models: TLB fill with eviction, TLB hit"
+go test -run '^$' -bench 'BenchmarkTLBInsertFull|BenchmarkTLBLookupHit' -benchmem \
+    -benchtime=200ms ./internal/vmem | tee -a "$raw"
 
 echo "== per-cell image construction: cold build vs snapshot clone"
 go test -run '^$' -bench 'BenchmarkHostColdBuild|BenchmarkHostSnapshotClone' \
