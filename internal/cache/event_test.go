@@ -107,3 +107,61 @@ func TestEventCrossbarSerializes(t *testing.T) {
 		t.Fatal("two hits completed in the same cycle through a single-ported crossbar")
 	}
 }
+
+// TestEventZeroAllocs guards the shared cache's request path: once the
+// MSHR slots, the hit ring and the engine's buffers are warm, hits, misses
+// with dirty write-backs, and misses that coalesce into a pending MSHR
+// must not allocate.
+func TestEventZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	bus := tilelink.New(eng, dram.NewDDR3(eng, dram.DDR3_2000(16)))
+	// Four direct-mapped lines: lines i and i+4 evict each other.
+	c := NewEvent(eng, 4*LineSize, 1, 2, 8, 4, bus.NewPort("cache", 16))
+	done := 0
+	count := func(uint64) { done++ }
+	access := func(line uint64, kind dram.Kind) {
+		if !c.Access(Access{Addr: line * LineSize, Size: 8, Kind: kind, Source: "marker", Done: count}) {
+			t.Fatal("crossbar queue full")
+		}
+	}
+	streams := []struct {
+		name   string
+		misses uint64 // per run: coalesced accesses do not miss again
+		run    func()
+	}{
+		{"hit", 0, func() {
+			for i := 0; i < 4; i++ {
+				access(1, dram.Read)
+			}
+		}},
+		{"miss", 8, func() {
+			for line := uint64(0); line < 8; line++ {
+				access(line, dram.Write)
+			}
+		}},
+		{"coalesce", 4, func() {
+			for line := uint64(0); line < 8; line += 2 {
+				access(line, dram.Read)
+				access(line, dram.Read)
+			}
+		}},
+	}
+	for _, s := range streams {
+		run := func() {
+			s.run()
+			eng.Run()
+		}
+		run()
+		before, misses := done, c.state.Misses
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("%s: %.1f allocs/run, want 0", s.name, allocs)
+		}
+		runs := uint64(101) // AllocsPerRun adds one warm-up run
+		if got := c.state.Misses - misses; got != runs*s.misses {
+			t.Fatalf("%s: %d misses over %d runs, want %d per run", s.name, got, runs, s.misses)
+		}
+		if done == before {
+			t.Fatalf("%s: no access completed", s.name)
+		}
+	}
+}

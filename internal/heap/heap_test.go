@@ -267,7 +267,7 @@ func TestSuperpageMapping(t *testing.T) {
 	cfg.Superpages = true
 	h := newHeap(t, cfg)
 	r := h.Alloc(1, 8, false)
-	pa, bits, _, ok := h.PT.Walk(r)
+	pa, bits, _, _, ok := h.PT.Walk(r)
 	if !ok || bits != vmem.SuperPageBits {
 		t.Fatalf("superpage walk: ok=%v bits=%d", ok, bits)
 	}

@@ -52,6 +52,12 @@ type MarkQueue struct {
 	stored        uint64 // entries resident in the region
 	refillPending bool
 
+	// The one outstanding refill read: its burst address, its issue cycle
+	// (set and read only when tracing), and its completion, bound once.
+	refillAddr  uint64
+	refillStart uint64
+	refillFn    func(uint64)
+
 	reserved int // slots promised to in-flight tracer chunks
 
 	tick *sim.Ticker
@@ -96,6 +102,7 @@ func NewMarkQueue(eng *sim.Engine, m *mem.Physical, issuer memIssuer, cfg SpillC
 		outQ:   sim.NewQueue[uint64](stageEntries),
 	}
 	mq.tick = sim.NewTicker(eng, mq.step)
+	mq.refillFn = mq.refilled
 	return mq
 }
 
@@ -234,29 +241,12 @@ func (mq *MarkQueue) step() bool {
 
 	// 2. Refill inQ from the region.
 	if mq.stored > 0 && !mq.refillPending && mq.inQ.Free() >= burst && mq.issuer.Free() > 0 {
-		addr := mq.cfg.Base + mq.head
+		mq.refillAddr = mq.cfg.Base + mq.head
 		mq.refillPending = true
-		var start uint64
 		if mq.tel != nil {
-			start = mq.eng.Now()
+			mq.refillStart = mq.eng.Now()
 		}
-		mq.issuer.TryIssue(addr, 64, dram.Read, func(uint64) {
-			for i := 0; i < burst; i++ {
-				mq.inQ.Push(mq.loadEntry(addr, i))
-			}
-			mq.head = (mq.head + 64) % mq.cfg.Size
-			mq.stored -= uint64(burst)
-			mq.refillPending = false
-			mq.SpillReadReqs++
-			if mq.tel != nil {
-				mq.tel.Complete1("tracer.markq", "spill-read", start,
-					mq.eng.Now(), "entries", uint64(burst))
-			}
-			if mq.notifyAvail != nil {
-				mq.notifyAvail()
-			}
-			mq.tick.Wake()
-		})
+		mq.issuer.TryIssue(mq.refillAddr, 64, dram.Read, mq.refillFn)
 		return true
 	}
 
@@ -280,6 +270,28 @@ func (mq *MarkQueue) step() bool {
 		return true
 	}
 	return false
+}
+
+// refilled moves the spill burst read from refillAddr into inQ.
+//
+//hwgc:hotpath
+func (mq *MarkQueue) refilled(uint64) {
+	burst := mq.burstEntries()
+	for i := 0; i < burst; i++ {
+		mq.inQ.Push(mq.loadEntry(mq.refillAddr, i))
+	}
+	mq.head = (mq.head + 64) % mq.cfg.Size
+	mq.stored -= uint64(burst)
+	mq.refillPending = false
+	mq.SpillReadReqs++
+	if mq.tel != nil {
+		mq.tel.Complete1("tracer.markq", "spill-read", mq.refillStart,
+			mq.eng.Now(), "entries", uint64(burst))
+	}
+	if mq.notifyAvail != nil {
+		mq.notifyAvail()
+	}
+	mq.tick.Wake()
 }
 
 func (mq *MarkQueue) storeEntry(burstAddr uint64, i int, ref uint64) {

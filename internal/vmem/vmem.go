@@ -148,30 +148,32 @@ func (pt *PageTable) Unmap(va uint64) {
 }
 
 // Walk translates va, returning the physical address, the size (log2) of
-// the mapping page, and the physical addresses of the PTEs visited (for
-// timing models). ok is false for unmapped addresses (a page fault).
-func (pt *PageTable) Walk(va uint64) (pa uint64, pageBits int, ptes []uint64, ok bool) {
+// the mapping page, and the physical addresses of the PTEs visited, root
+// first: ptes[:n] (for timing models). ok is false for unmapped addresses
+// (a page fault).
+func (pt *PageTable) Walk(va uint64) (pa uint64, pageBits int, ptes [Levels]uint64, n int, ok bool) {
 	table := pt.root
 	for level := Levels - 1; level >= 0; level-- {
 		slot := table + vpn(va, level)*8
-		ptes = append(ptes, slot)
+		ptes[n] = slot
+		n++
 		e := pt.mem.Load64(slot)
 		if e&pteValid == 0 {
-			return 0, 0, ptes, false
+			return 0, 0, ptes, n, false
 		}
 		if e&pteLeaf != 0 {
 			bits := PageBits + levelBits*level
 			base := (e >> ppnShift) << PageBits
 			off := va & ((1 << bits) - 1)
-			return base + off, bits, ptes, true
+			return base + off, bits, ptes, n, true
 		}
 		table = (e >> ppnShift) << PageBits
 	}
-	return 0, 0, ptes, false
+	return 0, 0, ptes, n, false
 }
 
 // Translate is the functional translation (no trace). ok is false on fault.
 func (pt *PageTable) Translate(va uint64) (uint64, bool) {
-	pa, _, _, ok := pt.Walk(va)
+	pa, _, _, _, ok := pt.Walk(va)
 	return pa, ok
 }

@@ -45,24 +45,24 @@ func TestSuperpage(t *testing.T) {
 	_, pt := newPT(t)
 	pt.MapSuper(0x4000_0000, 0x80_0000&^((1<<SuperPageBits)-1)+1<<SuperPageBits)
 	base := uint64(0x80_0000)&^((1<<SuperPageBits)-1) + 1<<SuperPageBits
-	pa, bits, ptes, ok := pt.Walk(0x4000_0000 + 0x12345)
+	pa, bits, _, n, ok := pt.Walk(0x4000_0000 + 0x12345)
 	if !ok || pa != base+0x12345 {
 		t.Fatalf("superpage walk: pa=0x%x ok=%v", pa, ok)
 	}
 	if bits != SuperPageBits {
 		t.Fatalf("pageBits = %d, want %d", bits, SuperPageBits)
 	}
-	if len(ptes) != 2 {
-		t.Fatalf("superpage walk visited %d PTEs, want 2", len(ptes))
+	if n != 2 {
+		t.Fatalf("superpage walk visited %d PTEs, want 2", n)
 	}
 }
 
 func TestWalkVisitsThreeLevels(t *testing.T) {
 	_, pt := newPT(t)
 	pt.Map(0x4000_0000, 0x20_0000)
-	_, _, ptes, ok := pt.Walk(0x4000_0000)
-	if !ok || len(ptes) != 3 {
-		t.Fatalf("walk: ok=%v levels=%d", ok, len(ptes))
+	_, _, _, n, ok := pt.Walk(0x4000_0000)
+	if !ok || n != 3 {
+		t.Fatalf("walk: ok=%v levels=%d", ok, n)
 	}
 }
 

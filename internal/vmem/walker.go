@@ -26,6 +26,24 @@ type Walker struct {
 	queue *sim.Queue[walkReq]
 	busy  bool
 
+	// The walk in service. Walks are served one at a time, so its state
+	// lives here and its PTE reads complete through callbacks bound once.
+	cur       walkReq
+	ptes      [Levels]uint64
+	nPTEs     int
+	next      int // index of the PTE read in flight (or to retry)
+	pa        uint64
+	bits      int
+	valid     bool
+	pteDoneFn func(uint64) // the current PTE read returned
+	retryFn   func()       // reissue the current PTE read
+
+	// L2-TLB hits complete after a fixed l2HitLat cycles, so they finish
+	// in FIFO order: their results wait in a ring drained by one bound
+	// event function.
+	l2Hits  *sim.Queue[l2Hit]
+	l2HitFn func()
+
 	// Walks counts completed walks, PTEFetches individual PTE reads,
 	// Faults unmapped translations, L2Hits walks satisfied by the shared
 	// second-level TLB.
@@ -38,10 +56,24 @@ type Walker struct {
 	telUnit string            // "<owner>.walker", precomputed at attach
 }
 
+// WalkDone receives a walk's result: the physical address, the log2 size
+// of the mapping page, and false for an unmapped address.
+type WalkDone func(pa uint64, pageBits int, ok bool)
+
 type walkReq struct {
 	va    uint64
 	start uint64 // request cycle (trace spans; 0 when tracing is off)
-	done  func(pa uint64, pageBits int, ok bool)
+	done  WalkDone
+}
+
+// l2HitLat is the latency of a walk the shared L2 TLB satisfies.
+const l2HitLat = 2
+
+type l2Hit struct {
+	pa    uint64
+	bits  int
+	valid bool
+	done  WalkDone
 }
 
 // NewWalker returns a walker reading page tables rooted in pt. Exactly one
@@ -50,20 +82,29 @@ func NewWalker(eng *sim.Engine, pt *PageTable, ptwCache *cache.Event, port *tile
 	if (ptwCache == nil) == (port == nil) {
 		panic("vmem: walker needs exactly one of cache or port")
 	}
-	return &Walker{eng: eng, pt: pt, cache: ptwCache, port: port, l2: l2,
-		queue: sim.NewQueue[walkReq](0)}
+	w := &Walker{eng: eng, pt: pt, cache: ptwCache, port: port, l2: l2,
+		queue: sim.NewQueue[walkReq](0), l2Hits: sim.NewQueue[l2Hit](0)}
+	w.pteDoneFn = w.pteDone
+	w.retryFn = w.fetchPTE
+	w.l2HitFn = func() {
+		h, _ := w.l2Hits.Pop()
+		h.done(h.pa, h.bits, h.valid)
+	}
+	return w
 }
 
 // Walk translates va, invoking done when the translation (or fault)
 // resolves. Requests are served in order, one at a time.
-func (w *Walker) Walk(va uint64, done func(pa uint64, pageBits int, ok bool)) {
+//
+//hwgc:hotpath
+func (w *Walker) Walk(va uint64, done WalkDone) {
 	// Shared L2 TLB probe happens before occupying the walker.
 	if w.l2 != nil {
 		if _, ok := w.l2.Lookup(va); ok {
 			w.L2Hits++
-			pa, bits, _, valid := w.pt.Walk(va)
-			fin := done
-			w.eng.After(2, func() { fin(pa, bits, valid) })
+			pa, bits, _, _, valid := w.pt.Walk(va)
+			w.l2Hits.Push(l2Hit{pa: pa, bits: bits, valid: valid, done: done})
+			w.eng.After(l2HitLat, w.l2HitFn)
 			return
 		}
 	}
@@ -84,36 +125,47 @@ func (w *Walker) kick() {
 		return
 	}
 	w.busy = true
-	pa, bits, ptes, valid := w.pt.Walk(req.va)
-	w.fetchPTE(req, ptes, 0, pa, bits, valid)
+	w.cur = req
+	w.pa, w.bits, w.ptes, w.nPTEs, w.valid = w.pt.Walk(req.va)
+	w.next = 0
+	w.fetchPTE()
 }
 
-// fetchPTE issues the i-th PTE read; when the last one returns, the walk
-// completes.
-func (w *Walker) fetchPTE(req walkReq, ptes []uint64, i int, pa uint64, bits int, valid bool) {
-	if i >= len(ptes) {
-		w.finish(req, pa, bits, valid)
+// fetchPTE issues the current walk's next PTE read; when the last one
+// returns, the walk completes.
+func (w *Walker) fetchPTE() {
+	if w.next >= w.nPTEs {
+		w.finish()
 		return
 	}
 	w.PTEFetches++
-	next := func(uint64) { w.fetchPTE(req, ptes, i+1, pa, bits, valid) }
+	addr := w.ptes[w.next]
 	if w.cache != nil {
-		if !w.cache.Access(cache.Access{Addr: ptes[i], Size: 8, Kind: dram.Read, Source: "ptw", Done: next}) {
+		if !w.cache.Access(cache.Access{Addr: addr, Size: 8, Kind: dram.Read, Source: "ptw", Done: w.pteDoneFn}) {
 			w.PTEFetches--
-			w.eng.After(1, func() { w.fetchPTEretry(req, ptes, i, pa, bits, valid) })
+			w.eng.After(1, w.retryFn)
 		}
 		return
 	}
-	if !w.port.Issue(dram.Request{Addr: ptes[i], Size: 8, Kind: dram.Read, Done: next}) {
-		w.eng.After(1, func() { w.fetchPTEretry(req, ptes, i, pa, bits, valid) })
+	if !w.port.Issue(dram.Request{Addr: addr, Size: 8, Kind: dram.Read, Done: w.pteDoneFn}) {
+		w.eng.After(1, w.retryFn)
 	}
 }
 
-func (w *Walker) fetchPTEretry(req walkReq, ptes []uint64, i int, pa uint64, bits int, valid bool) {
-	w.fetchPTE(req, ptes, i, pa, bits, valid)
+// pteDone advances the walk past the PTE read that returned.
+//
+//hwgc:hotpath
+func (w *Walker) pteDone(uint64) {
+	w.next++
+	w.fetchPTE()
 }
 
-func (w *Walker) finish(req walkReq, pa uint64, bits int, valid bool) {
+// finish reports the walk in service and starts the next queued one.
+//
+//hwgc:hotpath
+func (w *Walker) finish() {
+	req, pa, bits, valid := w.cur, w.pa, w.bits, w.valid
+	w.cur = walkReq{}
 	w.Walks++
 	if !valid {
 		w.Faults++
@@ -124,6 +176,8 @@ func (w *Walker) finish(req walkReq, pa uint64, bits int, valid bool) {
 		w.tel.Complete1(w.telUnit, "walk", req.start, w.eng.Now(), "va", req.va)
 	}
 	w.busy = false
+	// done may start the next walk (through Walk), which overwrites the
+	// walk state: everything it needs was copied above.
 	req.done(pa, bits, valid)
 	w.kick()
 }
@@ -158,11 +212,20 @@ type Translator struct {
 	tlb    *TLB
 	walker *Walker
 	busy   bool
+
+	// The outstanding miss (at most one): its address, its requester's
+	// completion, and the walk completion handed to the walker, bound
+	// once.
+	va       uint64
+	done     func(pa uint64, ok bool)
+	walkedFn WalkDone
 }
 
 // NewTranslator returns a translator with its own TLB over walker.
 func NewTranslator(eng *sim.Engine, tlb *TLB, walker *Walker) *Translator {
-	return &Translator{eng: eng, tlb: tlb, walker: walker}
+	tr := &Translator{eng: eng, tlb: tlb, walker: walker}
+	tr.walkedFn = tr.walked
+	return tr
 }
 
 // TLB exposes the translator's TLB (stats, flush).
@@ -172,6 +235,8 @@ func (tr *Translator) TLB() *TLB { return tr.tlb }
 // is folded into the requesting pipeline's issue stage) and Translate
 // returns true. On a miss, the walk is started and done runs later; further
 // Translate calls return false until it completes.
+//
+//hwgc:hotpath
 func (tr *Translator) Translate(va uint64, done func(pa uint64, ok bool)) bool {
 	if tr.busy {
 		return false
@@ -181,14 +246,23 @@ func (tr *Translator) Translate(va uint64, done func(pa uint64, ok bool)) bool {
 		return true
 	}
 	tr.busy = true
-	tr.walker.Walk(va, func(pa uint64, bits int, ok bool) {
-		if ok {
-			tr.tlb.Insert(va, pa, bits)
-		}
-		tr.busy = false
-		done(pa, ok)
-	})
+	tr.va, tr.done = va, done
+	tr.walker.Walk(va, tr.walkedFn)
 	return true
+}
+
+// walked completes the outstanding miss: fill the TLB, then hand the
+// result to the requester (which may translate again at once).
+//
+//hwgc:hotpath
+func (tr *Translator) walked(pa uint64, bits int, ok bool) {
+	if ok {
+		tr.tlb.Insert(tr.va, pa, bits)
+	}
+	done := tr.done
+	tr.done = nil
+	tr.busy = false
+	done(pa, ok)
 }
 
 // Busy reports whether a miss is outstanding.
@@ -220,9 +294,9 @@ func (st *SyncTranslator) Translate(now uint64, va uint64) (pa uint64, finish ui
 	if pa, hit := st.tlb.Lookup(va); hit {
 		return pa, now, true
 	}
-	pa, bits, ptes, valid := st.pt.Walk(va)
+	pa, bits, ptes, n, valid := st.pt.Walk(va)
 	t := now
-	for _, pte := range ptes {
+	for _, pte := range ptes[:n] {
 		t = st.next.Access(t, pte, 8, dram.Read)
 	}
 	if !valid {

@@ -3,6 +3,7 @@ package vmem
 import (
 	"testing"
 
+	"hwgc/internal/cache"
 	"hwgc/internal/dram"
 	"hwgc/internal/mem"
 	"hwgc/internal/sim"
@@ -150,5 +151,100 @@ func TestSyncTranslatorTiming(t *testing.T) {
 	}
 	if st.Faults != 1 {
 		t.Fatalf("faults = %d", st.Faults)
+	}
+}
+
+// TestTranslatorZeroAllocs guards the translation path the GC unit takes
+// for every TLB miss: once the walker's rings and the PTW cache are warm,
+// an L2-TLB hit, a full three-level walk through the PTW cache, and a walk
+// whose PTE read is refused by a full cache queue and retried must not
+// allocate.
+func TestTranslatorZeroAllocs(t *testing.T) {
+	const pageA, pageB = 0x4000_0000, 0x4000_1000
+	setup := func(l1, l2 int, inputQ int) (*sim.Engine, *Translator, *Walker, *cache.Event) {
+		eng := sim.NewEngine()
+		m := mem.New(256 << 20)
+		a := mem.NewArena(m)
+		a.Alloc(1<<20, PageSize)
+		pt := NewPageTable(m, a)
+		pt.Map(pageA, 0x20_0000)
+		pt.Map(pageB, 0x20_1000)
+		bus := tilelink.New(eng, dram.NewDDR3(eng, dram.DDR3_2000(16)))
+		c := cache.NewEvent(eng, 8<<10, 4, 1, inputQ, 4, bus.NewPort("ptw", 8))
+		var l2TLB *TLB
+		if l2 > 0 {
+			l2TLB = NewTLB(l2)
+		}
+		w := NewWalker(eng, pt, c, nil, l2TLB)
+		return eng, NewTranslator(eng, NewTLB(l1), w), w, c
+	}
+	resolved, faults := 0, 0
+	done := func(pa uint64, ok bool) {
+		if !ok {
+			faults++
+		}
+		resolved++
+	}
+	translate := func(eng *sim.Engine, tr *Translator, va uint64) {
+		tr.Translate(va, done)
+		eng.Run()
+	}
+
+	t.Run("l2-hit", func(t *testing.T) {
+		// A one-entry L1 TLB alternating two pages misses every time;
+		// the L2 TLB holds both after the warm-up walks.
+		eng, tr, w, _ := setup(1, 128, 8)
+		run := func() {
+			translate(eng, tr, pageA)
+			translate(eng, tr, pageB)
+		}
+		run()
+		walks, hits := w.Walks, w.L2Hits
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("%.1f allocs/run, want 0", allocs)
+		}
+		if w.Walks != walks || w.L2Hits-hits != 2*101 {
+			t.Fatalf("walks %d -> %d, L2 hits %d -> %d; want L2 hits only", walks, w.Walks, hits, w.L2Hits)
+		}
+	})
+
+	t.Run("walk", func(t *testing.T) {
+		eng, tr, w, _ := setup(0, 0, 8)
+		run := func() { translate(eng, tr, pageA) }
+		run()
+		walks, fetches := w.Walks, w.PTEFetches
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("%.1f allocs/run, want 0", allocs)
+		}
+		if w.Walks-walks != 101 || w.PTEFetches-fetches != 3*101 {
+			t.Fatalf("walks +%d, PTE fetches +%d; want 101 three-level walks",
+				w.Walks-walks, w.PTEFetches-fetches)
+		}
+	})
+
+	t.Run("retry", func(t *testing.T) {
+		// A one-entry cache queue held by another request refuses the
+		// walk's first PTE read, so the walker retries a cycle later.
+		eng, tr, w, c := setup(0, 0, 1)
+		run := func() {
+			if !c.Access(cache.Access{Addr: 0x8000, Size: 8, Kind: dram.Read, Source: "other"}) || c.Free() != 0 {
+				t.Fatal("could not fill the cache queue")
+			}
+			translate(eng, tr, pageA)
+		}
+		run()
+		walks, fetches := w.Walks, w.PTEFetches
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Fatalf("%.1f allocs/run, want 0", allocs)
+		}
+		if w.Walks-walks != 101 || w.PTEFetches-fetches != 3*101 {
+			t.Fatalf("walks +%d, PTE fetches +%d; want 101 three-level walks",
+				w.Walks-walks, w.PTEFetches-fetches)
+		}
+	})
+	// 1 + 101 runs per subtest: two translations each in l2-hit, one in
+	// walk and retry.
+	if resolved != 4*102 || faults != 0 {
+		t.Fatalf("%d translations resolved, %d faulted; want %d and 0", resolved, faults, 4*102)
 	}
 }

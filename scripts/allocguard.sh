@@ -1,6 +1,7 @@
 #!/bin/sh
-# Allocation-regression sentinel: runs the quick experiment suite and the
-# per-cell image-construction micro-benchmarks once (-benchtime=1x) with
+# Allocation-regression sentinel: runs the quick experiment suite, one
+# hardware mark phase and the per-cell image-construction micro-benchmarks
+# once (-benchtime=1x) with
 # -benchmem and compares allocs/op against the checked-in budgets in
 # scripts/alloc_budget.txt. A benchmark more than 15% over budget fails the
 # gate — that is how the fleet's allocation discipline stays held after the
@@ -16,9 +17,9 @@ budget="scripts/alloc_budget.txt"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "== allocation sentinel: quick suite + image, cluster, service, telemetry and TLB micro-benchmarks (1 iteration)"
+echo "== allocation sentinel: quick suite, mark phase + image, cluster, service, telemetry and TLB micro-benchmarks (1 iteration)"
 go test -run '^$' \
-    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkServiceCacheHit$|BenchmarkWallSpanOff$|BenchmarkTelemetryMetrics$|BenchmarkTLBInsertFull$|BenchmarkTLBLookupHit$' \
+    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkUnitMarkPhase$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkServiceCacheHit$|BenchmarkWallSpanOff$|BenchmarkTelemetryMetrics$|BenchmarkTLBInsertFull$|BenchmarkTLBLookupHit$' \
     -benchmem -benchtime=1x . ./internal/cluster/ ./internal/service/ ./internal/telemetry/ ./internal/vmem/ | tee "$raw"
 
 if [ "${1:-}" = "-update" ]; then

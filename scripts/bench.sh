@@ -1,7 +1,8 @@
 #!/bin/sh
 # Host-performance benchmark harness: runs the event-engine micro-benchmarks
 # (value-typed 4-ary heap vs the boxed container/heap baseline), the unit
-# models' TLB micro-benchmarks, the per-cell image-construction comparison
+# models' TLB micro-benchmarks and one hardware mark phase
+# (BenchmarkUnitMarkPhase), the per-cell image-construction comparison
 # (cold build vs snapshot clone), and the end-to-end quick-suite benchmarks
 # (serial vs parallel fleet), then appends one JSONL trajectory line to
 # BENCH_host.json — keyed by git SHA and date — so host performance is a
@@ -11,10 +12,14 @@
 #   scripts/bench.sh /tmp/out.json  # appends elsewhere
 #
 # Each line is a self-contained JSON object:
-#   {"git_sha": "...", "date": "YYYY-MM-DD", "host": "...", "cpus": N,
+#   {"git_sha": "...", "dirty": false, "date": "YYYY-MM-DD", "host": "...",
+#    "cpus": N,
 #    "benchmarks": [{"name": ..., "gomaxprocs": ..., "iters": ...,
 #                    "ns_per_op": ..., "bytes_per_op": ...,
 #                    "allocs_per_op": ...}, ...]}
+# "dirty" is true when `git status --porcelain` lists any change besides
+# the output file: the numbers were then measured on an uncommitted tree,
+# not on the commit git_sha names.
 # On a single-CPU host the parallel fleet benchmark is skipped (the
 # serial-vs-parallel comparison is meaningless there) and the line carries
 # "serial_vs_parallel": "skipped: single-cpu host".
@@ -28,6 +33,15 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+# Porcelain lines are "XY path"; the output file itself is expected to
+# change, so it does not make the tree dirty.
+out_rel="$(realpath --relative-to=. "$out" 2>/dev/null || echo "$out")"
+if git status --porcelain 2>/dev/null |
+    awk -v f="$out_rel" 'substr($0, 4) != f { found = 1 } END { exit !found }'; then
+    dirty=true
+else
+    dirty=false
+fi
 date="$(date -u +%Y-%m-%d)"
 ncpu="$(nproc 2>/dev/null || echo 1)"
 
@@ -35,9 +49,11 @@ echo "== engine micro-benchmarks (ns/op, allocs/op)"
 go test -run '^$' -bench 'BenchmarkHostEngine' -benchmem -benchtime=200ms \
     ./internal/sim | tee -a "$raw"
 
-echo "== unit models: TLB fill with eviction, TLB hit"
+echo "== unit models: TLB fill with eviction, TLB hit, one hardware mark phase"
 go test -run '^$' -bench 'BenchmarkTLBInsertFull|BenchmarkTLBLookupHit' -benchmem \
     -benchtime=200ms ./internal/vmem | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkUnitMarkPhase$' -benchmem -benchtime=3x \
+    . | tee -a "$raw"
 
 echo "== per-cell image construction: cold build vs snapshot clone"
 go test -run '^$' -bench 'BenchmarkHostColdBuild|BenchmarkHostSnapshotClone' \
@@ -55,7 +71,7 @@ fi
 go test -run '^$' -bench "$suite" -benchmem -benchtime=1x \
     . | tee -a "$raw"
 
-awk -v host="$(uname -sm)" -v ncpu="$ncpu" \
+awk -v host="$(uname -sm)" -v ncpu="$ncpu" -v dirty="$dirty" \
     -v sha="$sha" -v date="$date" -v par_note="$par_note" '
 BEGIN { n = 0 }
 /^Benchmark/ && /ns\/op/ {
@@ -76,7 +92,7 @@ BEGIN { n = 0 }
                         allocs == "" ? "null" : allocs)
 }
 END {
-    printf "{\"git_sha\": \"%s\", \"date\": \"%s\", \"host\": \"%s\", \"cpus\": %s, ", sha, date, host, ncpu
+    printf "{\"git_sha\": \"%s\", \"dirty\": %s, \"date\": \"%s\", \"host\": \"%s\", \"cpus\": %s, ", sha, dirty, date, host, ncpu
     if (par_note != "") printf "\"serial_vs_parallel\": \"%s\", ", par_note
     printf "\"benchmarks\": ["
     for (i = 0; i < n; i++) printf "%s%s", rows[i], (i < n - 1 ? ", " : "")
