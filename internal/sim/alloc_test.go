@@ -52,3 +52,38 @@ func TestTickerWakeZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state Wake+Run = %.1f allocs/run, want 0", allocs)
 	}
 }
+
+// TestFreeListReusesObjects guards the in-flight request slots: Get makes
+// an object only when none is free, Put objects come back last in, first
+// out, and a steady take-and-return pattern allocates nothing.
+func TestFreeListReusesObjects(t *testing.T) {
+	made := 0
+	f := NewFreeList(func() *int { made++; return new(int) })
+	a, b := f.Get(), f.Get()
+	if made != 2 || a == b {
+		t.Fatalf("two Gets on an empty list made %d objects (distinct: %v), want 2", made, a != b)
+	}
+	f.Put(a)
+	f.Put(b)
+	if got := f.Get(); got != b {
+		t.Fatal("Get did not return the last object Put")
+	}
+	if got := f.Get(); got != a {
+		t.Fatal("second Get did not return the first object Put")
+	}
+	f.Put(a)
+	f.Put(b)
+	cycle := func() {
+		x, y, z := f.Get(), f.Get(), f.Get()
+		f.Put(x)
+		f.Put(y)
+		f.Put(z)
+	}
+	cycle() // grow the list to three in flight
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("steady-state Get/Put = %.1f allocs/run, want 0", allocs)
+	}
+	if made != 3 {
+		t.Fatalf("made %d objects for at most three in flight, want 3", made)
+	}
+}

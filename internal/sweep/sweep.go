@@ -221,7 +221,7 @@ type sweeper struct {
 	fwIss         func()
 	fwDone        func(uint64)
 
-	freeSlots []*scanSlot
+	slots sim.FreeList[scanSlot]
 
 	tel        *telemetry.Tracer // nil = tracing disabled (fast path)
 	telUnit    string            // "sweep.sweep<i>", precomputed at attach
@@ -231,6 +231,7 @@ type sweeper struct {
 func newSweeper(u *Unit, id int, port *tilelink.Port, tr *vmem.Translator) *sweeper {
 	sw := &sweeper{u: u, id: id, port: port, tr: tr}
 	sw.tick = sim.NewTicker(u.eng, sw.step)
+	sw.slots = sim.NewFreeList(sw.newScanSlot)
 	port.SetOnSpace(func() { sw.tick.Wake() })
 
 	sw.transCb = func(pa uint64, ok bool) {
@@ -327,7 +328,7 @@ func (sw *sweeper) newScanSlot() *scanSlot {
 	s.classify = func() {
 		sw.processCells(s.first, s.n)
 		sw.inflight--
-		sw.freeSlots = append(sw.freeSlots, s)
+		sw.slots.Put(s)
 		sw.tick.Wake()
 	}
 	return s
@@ -444,13 +445,7 @@ func (sw *sweeper) issueDescRead(pa uint64) {
 
 func (sw *sweeper) issueScan(pa uint64) {
 	sw.inflight++
-	var s *scanSlot
-	if n := len(sw.freeSlots); n > 0 {
-		s = sw.freeSlots[n-1]
-		sw.freeSlots = sw.freeSlots[:n-1]
-	} else {
-		s = sw.newScanSlot()
-	}
+	s := sw.slots.Get()
 	s.pa, s.size, s.first, s.n = pa, sw.tSize, sw.tFirst, sw.tN
 	s.issue()
 }
