@@ -47,10 +47,12 @@ func fixtureConfig() *analysis.Config {
 			FromCodeFunc:   "sentinelOf",
 			EventType:      "FlightEvent",
 			KindField:      "Kind",
-			SpanProducers:  map[string]int{"span": 0},
+			KindProducers:  map[string]int{"transition": 1},
+			SpanFunc:       "deriveSpans",
+			SpanProducers:  map[string]int{"span": 1, "workerSpan": 0},
 			SpanSwitchFunc: "spanBucket",
-			OutcomeFunc:    "endAttempt",
-			OutcomeArg:     1,
+			OutcomeCall:    "attempt",
+			OutcomeArg:     0,
 		},
 	}
 }

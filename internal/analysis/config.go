@@ -31,15 +31,21 @@ type WireConfig struct {
 	// EventType / KindField locate the flight-event kind whose doc comment
 	// enumerates the legal kinds.
 	EventType, KindField string
-	// SpanProducers maps producer function names to the index of their span
-	// name argument.
+	// KindProducers maps the functions that record a lifecycle transition
+	// to the index of their kind argument.
+	KindProducers map[string]int
+	// SpanFunc is the function that derives the coordinator's spans; its
+	// doc comment enumerates the legal attempt outcomes.
+	SpanFunc string
+	// SpanProducers maps span producers — functions, or SpanFunc's local
+	// closures — to the index of their span name argument.
 	SpanProducers map[string]int
 	// SpanSwitchFunc is the report-side classifier whose case clauses must
 	// cover every produced span name.
 	SpanSwitchFunc string
-	// OutcomeFunc / OutcomeArg locate the attempt-outcome producer whose
-	// doc comment enumerates the legal outcomes.
-	OutcomeFunc string
+	// OutcomeCall / OutcomeArg locate the closure inside SpanFunc that
+	// closes an attempt, and its outcome argument.
+	OutcomeCall string
 	OutcomeArg  int
 }
 
@@ -98,10 +104,12 @@ func DefaultConfig() *Config {
 			FromCodeFunc:   "sentinelOf",
 			EventType:      "FlightEvent",
 			KindField:      "Kind",
-			SpanProducers:  map[string]int{"spanLocked": 3, "leaseSpans": 1},
+			KindProducers:  map[string]int{"transition": 1},
+			SpanFunc:       "closeSpans",
+			SpanProducers:  map[string]int{"span": 1, "leaseSpans": 1},
 			SpanSwitchFunc: "spanBucket",
-			OutcomeFunc:    "endAttemptLocked",
-			OutcomeArg:     2,
+			OutcomeCall:    "attempt",
+			OutcomeArg:     0,
 		},
 	}
 }

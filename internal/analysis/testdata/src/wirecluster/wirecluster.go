@@ -38,8 +38,8 @@ func sentinelOf(c code) error {
 
 // FlightEvent is one control-plane trace record.
 type FlightEvent struct {
-	// Kind names the step: "submit", "commit", or "ghost".
-	Kind string // want `flight event kind "ghost" is documented`
+	// Kind names the step: "submit", "commit", "grant", "ghost", or "retired".
+	Kind string // want `flight event kind "ghost" is documented` `flight event kind "retired" is documented`
 }
 
 func emit(rec func(FlightEvent)) {
@@ -48,15 +48,44 @@ func emit(rec func(FlightEvent)) {
 	rec(FlightEvent{Kind: "rogue"}) // want `flight event kind "rogue" is emitted but missing`
 }
 
-// span mints a wall span with the given name.
-func span(name string) { _ = name }
+// transition records one lifecycle state change; its kind argument is the
+// emitted kind.
+func transition(job *int, kind, detail string) { _, _, _ = job, kind, detail }
 
-// endAttempt records an attempt's outcome: "commit" or "expired".
-func endAttempt(id int, outcome string) { _, _ = id, outcome }
+// note has transition's shape but records nothing, so its kinds are not
+// emitted.
+func note(job *int, kind string) { _, _ = job, kind }
+
+func lifecycle() {
+	transition(nil, "grant", "")
+	transition(nil, "stray", "") // want `flight event kind "stray" is emitted but missing`
+	note(nil, "retired")
+}
+
+// workerSpan mints a worker-side wall span with the given name.
+func workerSpan(name string) { _ = name }
+
+// deriveSpans derives a job's spans; an attempt closes as "commit" or
+// "expired".
+func deriveSpans() {
+	span := func(role, name string) { _, _ = role, name }
+	attempt := func(outcome string) { _ = outcome }
+	span("q", "queue.wait")
+	span("m", "mystery") // want `span name "mystery" has no case`
+	attempt("commit")
+	attempt("vanished") // want `attempt outcome "vanished" is not in deriveSpans's documented catalogue`
+}
+
+// elsewhere binds closures with the producers' names outside deriveSpans:
+// they are not anchors.
+func elsewhere() {
+	span := func(role, name string) { _, _ = role, name }
+	attempt := func(outcome string) { _ = outcome }
+	span("x", "unrelated")
+	attempt("unlisted")
+}
 
 func drive() {
-	span("queue.wait")
-	span("mystery") // want `span name "mystery" has no case`
-	endAttempt(1, "commit")
-	endAttempt(1, "vanished") // want `attempt outcome "vanished" is not in endAttempt's documented catalogue`
+	workerSpan("attempt")
+	workerSpan("phantom") // want `span name "phantom" has no case`
 }

@@ -6,13 +6,15 @@ package analysis
 //   - typed error sentinels must appear in BOTH directions of the
 //     error<->code mapping (codeOf and sentinelOf), or errors.Is breaks on
 //     one side of the wire;
-//   - every flight-recorder event kind a producer emits must be listed in
-//     the Kind field's doc comment (the exported catalogue consumers read),
-//     and every documented kind must still have a producer;
-//   - every wall-span name the coordinator/worker mint must be handled by
-//     the report package's span classifier switch;
-//   - every attempt outcome passed to the outcome recorder must be listed
-//     in its doc comment.
+//   - every flight-recorder event kind a producer emits (the kind argument
+//     of the coordinator's transition, or a literal Kind in an event
+//     literal) must be listed in the Kind field's doc comment (the exported
+//     catalogue consumers read), and every documented kind must still have
+//     a producer;
+//   - every wall-span name the coordinator derives or the worker mints must
+//     be handled by the report package's span classifier switch;
+//   - every attempt outcome the span-deriving function closes an attempt
+//     with must be listed in its doc comment.
 //
 // The anchors (function and type names) come from WireConfig so fixtures
 // can exercise the rule against miniature protocol packages.
@@ -173,8 +175,14 @@ func checkFlightKinds(prog *Program, pkg *Package, w *WireConfig) []Diagnostic {
 	}
 	documented := docStringSet(kindDoc)
 
-	// The produced set: Kind: "literal" in EventType composite literals.
+	// The produced set: Kind: "literal" in EventType composite literals, and
+	// literal kind arguments of the transition producers.
 	produced := map[string]token.Pos{}
+	literalArgs(pkg, "", w.KindProducers, func(kind string, pos token.Pos) {
+		if _, seen := produced[kind]; !seen {
+			produced[kind] = pos
+		}
+	})
 	eventObj, _ := pkg.Types.Scope().Lookup(w.EventType).(*types.TypeName)
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -257,75 +265,72 @@ func checkSpanNames(prog *Program, cluster, report *Package, w *WireConfig) []Di
 	}
 
 	var diags []Diagnostic
-	for _, f := range cluster.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := funcFor(cluster.Info, call)
-			if fn == nil {
-				return true
-			}
-			argIdx, tracked := w.SpanProducers[fn.Name()]
-			if !tracked || argIdx >= len(call.Args) {
-				return true
-			}
-			lit, ok := ast.Unparen(call.Args[argIdx]).(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			name, _ := strconv.Unquote(lit.Value)
-			if !handled[name] {
-				diags = append(diags, Diagnostic{
-					Rule: "wire",
-					Pos:  prog.Fset.Position(lit.Pos()),
-					Msg: fmt.Sprintf("span name %q has no case in %s.%s — it will render unclassified in fleet reports",
-						name, w.ReportPath, w.SpanSwitchFunc),
-				})
-			}
-			return true
-		})
-	}
+	literalArgs(cluster, w.SpanFunc, w.SpanProducers, func(name string, pos token.Pos) {
+		if !handled[name] {
+			diags = append(diags, Diagnostic{
+				Rule: "wire",
+				Pos:  prog.Fset.Position(pos),
+				Msg: fmt.Sprintf("span name %q has no case in %s.%s — it will render unclassified in fleet reports",
+					name, w.ReportPath, w.SpanSwitchFunc),
+			})
+		}
+	})
 	return diags
 }
 
-// checkOutcomes verifies every literal outcome passed to the outcome
-// recorder is part of its documented catalogue.
+// checkOutcomes verifies every literal outcome the span-deriving function
+// closes an attempt with is part of its documented catalogue.
 func checkOutcomes(prog *Program, pkg *Package, w *WireConfig) []Diagnostic {
-	fd := findFunc(pkg, w.OutcomeFunc)
+	fd := findFunc(pkg, w.SpanFunc)
 	if fd == nil {
 		return nil
 	}
 	documented := docStringSet(fd.Doc)
 	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := funcFor(pkg.Info, call)
-			if fn == nil || fn.Name() != w.OutcomeFunc || w.OutcomeArg >= len(call.Args) {
-				return true
-			}
-			lit, ok := ast.Unparen(call.Args[w.OutcomeArg]).(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			outcome, _ := strconv.Unquote(lit.Value)
-			if !documented[outcome] {
-				diags = append(diags, Diagnostic{
-					Rule: "wire",
-					Pos:  prog.Fset.Position(lit.Pos()),
-					Msg: fmt.Sprintf("attempt outcome %q is not in %s's documented catalogue — report switches key off that list",
-						outcome, w.OutcomeFunc),
-				})
-			}
-			return true
-		})
-	}
+	literalArgs(pkg, w.SpanFunc, map[string]int{w.OutcomeCall: w.OutcomeArg}, func(outcome string, pos token.Pos) {
+		if !documented[outcome] {
+			diags = append(diags, Diagnostic{
+				Rule: "wire",
+				Pos:  prog.Fset.Position(pos),
+				Msg: fmt.Sprintf("attempt outcome %q is not in %s's documented catalogue — report switches key off that list",
+					outcome, w.SpanFunc),
+			})
+		}
+	})
 	return diags
+}
+
+// literalArgs calls visit for every string literal passed at producers[name]
+// to a call of a function or method with that name — or, inside the
+// function named local, of a local closure bound to that name.
+func literalArgs(pkg *Package, local string, producers map[string]int, visit func(lit string, pos token.Pos)) {
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			fd, _ := d.(*ast.FuncDecl)
+			inLocal := fd != nil && fd.Name.Name == local
+			ast.Inspect(d, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				name := ""
+				if fn := funcFor(pkg.Info, call); fn != nil {
+					name = fn.Name()
+				} else if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && inLocal {
+					name = id.Name
+				}
+				argIdx, tracked := producers[name]
+				if name == "" || !tracked || argIdx >= len(call.Args) {
+					return true
+				}
+				if lit, ok := ast.Unparen(call.Args[argIdx]).(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					s, _ := strconv.Unquote(lit.Value)
+					visit(s, lit.Pos())
+				}
+				return true
+			})
+		}
+	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -165,21 +165,20 @@ type Job struct {
 	retries   int
 	notBefore time.Time
 	worker    string
+	lease     *lease // the active grant; nil while queued or terminal
 	cacheHit  bool
 	report    []byte
 	errMsg    string
 
 	submitted, started, finished time.Time
 
-	// Trace bookkeeping (zero values when tracing is off). queueStart marks
-	// the current queue-wait segment; attemptSpan and attemptStart the open
-	// attempt span, closed on completion, expiry, or cancellation.
-	traceID      string
-	rootSpan     string
-	queueStart   time.Time
-	attemptSpan  string
-	attemptStart time.Time
-	spans        []telemetry.Span
+	// last is the job's latest transition record: the one the next
+	// transition's spans derive from. traceID is its distributed trace (""
+	// when tracing is off) and spans its tree: the derived coordinator
+	// spans plus the worker spans shipped back with completions.
+	last    FlightEvent
+	traceID string
+	spans   []telemetry.Span
 
 	done chan struct{}
 }
@@ -265,13 +264,8 @@ type Coordinator struct {
 
 	seqJob, seqLease, seqWorker int
 
-	// aggregate counters (registered on the hub at construction)
-	submitted, completed, failed, cancelled uint64
-	cacheHits, retriesTotal, duplicateDrop  uint64
-	leasesGranted, leasesExpired            uint64
-	affinityLocal, affinitySteal            uint64
-	workersRegistered, workersExpired       uint64
-	latency                                 telemetry.Histogram // submit to terminal, µs
+	counts  map[string]uint64   // transitions by kind (see counterCatalogue)
+	latency telemetry.Histogram // submit to terminal, µs
 
 	closeOnce sync.Once
 	stop      chan struct{}
@@ -322,6 +316,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		leases:   make(map[string]*lease),
 		workers:  make(map[string]*workerState),
 		affinity: make(map[string]string),
+		counts:   make(map[string]uint64, 16), // every kind, sized up front
 		wake:     make(chan struct{}),
 		stop:     make(chan struct{}),
 		stopped:  make(chan struct{}),
@@ -402,24 +397,19 @@ func (c *Coordinator) Submit(spec JobSpec, beat *telemetry.Beat) (*Job, error) {
 	job := &Job{spec: spec, seq: c.seqJob, beat: beat, state: JobPending,
 		submitted: now, done: make(chan struct{})}
 	if c.cfg.Spans != nil {
-		job.traceID = c.cfg.Spans.NewTraceID()
-		job.rootSpan = c.cfg.Spans.NewSpanID()
-		job.queueStart = now
 		// The context rides the wire inside the spec so worker-side spans
 		// join the same trace.
+		job.traceID = c.cfg.Spans.NewTraceID()
 		job.spec.TraceID = job.traceID
-		job.spec.SpanID = job.rootSpan
+		job.spec.SpanID = job.traceID + ".job"
 	}
 	c.jobs[spec.ID] = job
-	c.submitted++
-	c.flight.Record(FlightEvent{Kind: "submit", JobID: spec.ID, TraceID: job.traceID,
-		Detail: spec.Experiment})
+	c.transition(job, "submit", nil, "", spec.Experiment)
 	if hit != nil {
 		job.cacheHit = true
 		job.report = hit
 		job.started = now
-		c.flight.Record(FlightEvent{Kind: "cache.hit", JobID: spec.ID, TraceID: job.traceID})
-		c.finishLocked(job, JobSucceeded, "")
+		c.transition(job, "cache.hit", nil, "", "")
 		return job, nil
 	}
 	c.pending = append(c.pending, job)
@@ -500,10 +490,7 @@ func (c *Coordinator) Register(req RegisterRequest) (RegisterResponse, error) {
 		w.name = w.id
 	}
 	c.workers[w.id] = w
-	c.workersRegistered++
-	c.flight.Record(FlightEvent{Kind: "worker.register", WorkerID: w.id, Detail: w.name})
-	c.logw("worker registered", "worker", w.id, "name", w.name,
-		"slots", w.slots, "capabilities", len(w.caps))
+	c.transition(nil, "worker.register", w, "", w.name)
 	return RegisterResponse{
 		WorkerID:    w.id,
 		LeaseTTLMS:  c.cfg.LeaseTTL.Milliseconds(),
@@ -591,12 +578,8 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 			c.affinity[job.spec.Affinity] = w.id
 		}
 	}
-	switch {
-	case local >= 0:
-		c.affinityLocal++
-	case steal:
-		c.affinitySteal++
-		w.stolen++
+	if local >= 0 {
+		c.counts["affinity.local"]++ // a refinement of lease.grant; no record
 	}
 	c.seqLease++
 	l := &lease{
@@ -607,33 +590,26 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	}
 	c.leases[l.id] = l
 	w.leases[l.id] = l
+	job.lease = l
 	job.state = JobLeased
 	job.attempt++
 	job.worker = w.name
 	if job.started.IsZero() {
 		job.started = now
 	}
-	c.leasesGranted++
-	if job.traceID != "" {
-		// Close the queue-wait segment and open this attempt's span; the
-		// attempt span ID travels in the lease so worker spans parent to it.
-		c.spanLocked(job, c.cfg.Spans.NewSpanID(), job.rootSpan, "queue.wait",
-			job.queueStart, now, map[string]string{"attempt": strconv.Itoa(job.attempt)})
-		job.attemptSpan = c.cfg.Spans.NewSpanID()
-		job.attemptStart = now
-	}
 	if steal {
-		c.flight.Record(FlightEvent{Kind: "steal", JobID: job.spec.ID, TraceID: job.traceID,
-			WorkerID: w.id, LeaseID: l.id, Attempt: job.attempt, Detail: job.spec.Affinity})
+		w.stolen++
+		c.transition(job, "steal", w, l.id, job.spec.Affinity)
 	}
-	c.flight.Record(FlightEvent{Kind: "lease.grant", JobID: job.spec.ID, TraceID: job.traceID,
-		WorkerID: w.id, LeaseID: l.id, Attempt: job.attempt})
+	c.transition(job, "lease.grant", w, l.id, "")
+	// The attempt span's ID is derived, so the lease names it before the
+	// span closes and worker spans parent under it.
 	return LeaseResponse{Lease: &Lease{
 		ID:      l.id,
 		Job:     job.spec,
 		TTLMS:   c.cfg.LeaseTTL.Milliseconds(),
 		Attempt: job.attempt,
-		SpanID:  job.attemptSpan,
+		SpanID:  job.spanID("a"),
 		beat:    job.beat,
 	}}, nil
 }
@@ -645,11 +621,11 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 // the job has left the table — is dropped with Committed=false.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
+	w := c.workerOf(req.WorkerID)
 	job, ok := c.jobs[req.JobID]
 	if !ok {
-		c.duplicateDrop++
-		c.flight.Record(FlightEvent{Kind: "duplicate.drop", JobID: req.JobID,
-			WorkerID: req.WorkerID, LeaseID: req.LeaseID})
+		// The job left the table: a stand-in carries its ID into the record.
+		c.transition(&Job{spec: JobSpec{ID: req.JobID}}, "duplicate.drop", w, req.LeaseID, "")
 		c.mu.Unlock()
 		return CompleteResponse{Committed: false}, nil
 	}
@@ -667,52 +643,30 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	// Detach whichever lease currently covers the job: the completing
 	// worker's own, or — when that one already expired and the job was
 	// re-leased — the successor's (its worker's later completion becomes a
-	// duplicate and is dropped above).
-	if l, held := c.leases[req.LeaseID]; held && l.job == job {
-		c.dropLeaseLocked(l)
-	} else if job.state == JobLeased {
-		for _, other := range c.leases {
-			if other.job == job {
-				c.dropLeaseLocked(other)
-				break
-			}
-		}
-	} else {
-		// Expired lease, job re-queued but not re-leased yet: the early
-		// result still counts — pull the job back out of the queue.
-		c.removePendingLocked(job)
-	}
-	workerName := req.WorkerID
-	if w, known := c.workers[req.WorkerID]; known {
-		workerName = w.name
-	}
+	// duplicate and is dropped above). A job re-queued after its lease
+	// expired leaves the queue instead: the early result still counts.
+	c.detachLocked(job)
+	// The attempt span closes under the worker that answered.
+	job.worker = w.name
 	if req.Error != "" {
-		if w, known := c.workers[req.WorkerID]; known {
-			w.failed++
-		}
-		c.endAttemptLocked(job, workerName, "error")
-		c.retryLocked(job, fmt.Sprintf("worker %s: %s", workerName, req.Error))
+		w.failed++
+		c.retryLocked(job, fmt.Sprintf("worker %s: %s", w.name, req.Error))
 		c.mu.Unlock()
 		return CompleteResponse{Committed: true}, nil
 	}
 	if _, err := experiments.DecodeReport(req.Report); err != nil {
 		// A payload torn in transit is an attempt failure, not a terminal
 		// one: re-run rather than committing garbage.
-		c.endAttemptLocked(job, workerName, "undecodable")
-		c.retryLocked(job, fmt.Sprintf("worker %s: undecodable report: %v", workerName, err))
+		c.retryLocked(job, fmt.Sprintf("worker %s: undecodable report: %v", w.name, err))
 		c.mu.Unlock()
 		return CompleteResponse{Committed: false}, nil
 	}
-	job.worker = workerName
 	job.cacheHit = req.CacheHit
 	job.report = append([]byte(nil), req.Report...)
-	if w, known := c.workers[req.WorkerID]; known {
-		w.completed++
+	w.completed++
+	if req.CacheHit {
+		c.counts["commit.cachehit"]++ // a refinement of commit; no record
 	}
-	c.endAttemptLocked(job, workerName, "commit")
-	c.flight.Record(FlightEvent{Kind: "commit", JobID: job.spec.ID, TraceID: job.traceID,
-		WorkerID: req.WorkerID, LeaseID: req.LeaseID, Attempt: job.attempt,
-		Detail: workerName})
 	if c.cfg.Cache != nil {
 		if key, ok := parseCacheKey(job.spec.CacheKey); ok {
 			// Stored before the job's waiters wake, so the same cell
@@ -721,7 +675,7 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			_ = c.cfg.Cache.Put(key, job.report)
 		}
 	}
-	c.finishLocked(job, JobSucceeded, "")
+	c.transition(job, "commit", w, req.LeaseID, w.name)
 	c.mu.Unlock()
 	return CompleteResponse{Committed: true}, nil
 }
@@ -731,41 +685,23 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 // Caller holds c.mu.
 func (c *Coordinator) retryLocked(job *Job, reason string) {
 	if job.attempt >= c.cfg.MaxAttempts {
-		job.errMsg = fmt.Sprintf("%s (attempt %d/%d, giving up)", reason, job.attempt, c.cfg.MaxAttempts)
-		c.flight.Record(FlightEvent{Kind: "fail", JobID: job.spec.ID, TraceID: job.traceID,
-			Attempt: job.attempt, Detail: job.errMsg})
-		c.finishLocked(job, JobFailed, job.errMsg)
+		c.transition(job, "fail", nil, "",
+			fmt.Sprintf("%s (attempt %d/%d, giving up)", reason, job.attempt, c.cfg.MaxAttempts))
 		return
 	}
 	d := c.backoffLocked(job.attempt)
-	now := time.Now()
 	job.state = JobPending
-	job.notBefore = now.Add(d)
+	job.notBefore = time.Now().Add(d)
 	job.retries++
 	job.errMsg = reason
 	c.pending = append(c.pending, job)
-	c.retriesTotal++
 	// Wake idle in-process workers once the backoff has passed.
 	time.AfterFunc(d, func() {
 		c.mu.Lock()
 		c.wakeLocked()
 		c.mu.Unlock()
 	})
-	if job.traceID != "" {
-		// The backoff sleep is a first-class span: in the waterfall it
-		// separates "waiting by policy" from "waiting for a free worker"
-		// (the queue.wait segment that follows).
-		c.spanLocked(job, c.cfg.Spans.NewSpanID(), job.rootSpan, "backoff",
-			now, job.notBefore, map[string]string{
-				"attempt": strconv.Itoa(job.attempt),
-				"reason":  reason,
-			})
-		job.queueStart = job.notBefore
-	}
-	c.flight.Record(FlightEvent{Kind: "backoff", JobID: job.spec.ID, TraceID: job.traceID,
-		Attempt: job.attempt, Detail: fmt.Sprintf("%s; retrying in %s", reason, d)})
-	c.logw("attempt failed; retrying", "job", job.spec.ID, "attempt", job.attempt,
-		"reason", reason, "backoff", d.String())
+	c.transition(job, "backoff", nil, "", fmt.Sprintf("%s; retrying in %s", reason, d))
 }
 
 // backoffLocked returns the wait before re-granting attempt+1: the
@@ -786,44 +722,67 @@ func (c *Coordinator) backoffLocked(attempt int) time.Duration {
 	return d
 }
 
+// transition records one lifecycle state change as a single FlightEvent,
+// the record every observer reads: when the job is traced it closes the
+// spans the change ends, it becomes the job's latest record (job is nil
+// for a worker-only event) and joins the flight ring, it counts toward its
+// kind, and it is logged when its kind logs. A terminal kind then finishes
+// the job. Caller holds c.mu.
+func (c *Coordinator) transition(job *Job, kind string, w *workerState, leaseID, detail string) {
+	ev := FlightEvent{AtUS: time.Now().UnixMicro(), Kind: kind, LeaseID: leaseID, Detail: detail}
+	if w != nil {
+		ev.WorkerID = w.id
+	}
+	if job != nil {
+		ev.JobID, ev.TraceID, ev.Attempt = job.spec.ID, job.traceID, job.attempt
+		if job.traceID != "" {
+			c.closeSpans(job, ev)
+		}
+		job.last = ev
+	}
+	c.flight.Record(ev)
+	c.counts[kind]++
+	if msg := loggedKinds[kind]; msg != "" && c.cfg.Log != nil {
+		c.cfg.Log.Info(msg, "job", ev.JobID, "worker", ev.WorkerID,
+			"attempt", ev.Attempt, "detail", ev.Detail)
+	}
+	if st, ok := terminalKinds[kind]; ok {
+		c.finishLocked(job, st, detail)
+	}
+}
+
+// loggedKinds are the transitions Config.Log hears about, with their
+// messages; terminalKinds those that end a job, with its final state.
+var (
+	loggedKinds = map[string]string{
+		"worker.register": "worker registered",
+		"backoff":         "attempt failed; retrying",
+		"worker.expire":   "worker expired",
+	}
+	terminalKinds = map[string]JobState{
+		"cache.hit": JobSucceeded,
+		"commit":    JobSucceeded,
+		"fail":      JobFailed,
+		"cancel":    JobCancelled,
+	}
+)
+
 // finishLocked moves a job to a terminal state, from the job table into
-// the retained history, and publishes its result. Caller holds c.mu.
-func (c *Coordinator) finishLocked(job *Job, st JobState, errMsg string) {
+// the retained history, and publishes its result; a failure or
+// cancellation keeps reason. Caller holds c.mu.
+func (c *Coordinator) finishLocked(job *Job, st JobState, reason string) {
 	delete(c.jobs, job.spec.ID)
 	now := time.Now()
 	job.state = st
-	job.errMsg = errMsg // a success clears the reason an earlier retry left
+	job.errMsg = reason
+	if st == JobSucceeded {
+		job.errMsg = "" // a success clears the reason an earlier retry left
+	}
 	job.finished = now
 	if job.started.IsZero() {
 		job.started = now // cancelled before any lease grant
 	}
 	c.latency.Observe(uint64(max(now.Sub(job.submitted).Microseconds(), 0)))
-	switch st {
-	case JobSucceeded:
-		c.completed++
-		if job.cacheHit {
-			c.cacheHits++
-		}
-	case JobFailed:
-		c.failed++
-	case JobCancelled:
-		c.cancelled++
-	}
-	if job.traceID != "" {
-		attrs := map[string]string{
-			"state":    string(st),
-			"attempts": strconv.Itoa(job.attempt),
-			"retries":  strconv.Itoa(job.retries),
-		}
-		if job.cacheHit {
-			attrs["cacheHit"] = "true"
-		}
-		// The root "job" span deliberately has no spanBucket case: it covers
-		// the whole lifetime and would paint over its children, so the
-		// waterfall uses it for the time extent only.
-		//hwgc:allow wire root job span is classified as slot 0 (undrawn) by design
-		c.spanLocked(job, job.rootSpan, "", "job", job.submitted, now, attrs)
-	}
 	c.retained[job.spec.ID] = job
 	c.history = append(c.history, job)
 	for c.retain > 0 && len(c.history) > c.retain {
@@ -834,46 +793,106 @@ func (c *Coordinator) finishLocked(job *Job, st JobState, errMsg string) {
 	close(job.done)
 }
 
-// spanLocked records one completed coordinator-side span into both the
-// global recorder and the job's own tree. Caller holds c.mu; only called
-// for jobs carrying trace context (cfg.Spans is non-nil then).
-func (c *Coordinator) spanLocked(job *Job, spanID, parent, name string, start, end time.Time, attrs map[string]string) {
-	s := telemetry.SpanBetween(job.traceID, spanID, parent, "coordinator", name, start, end)
-	s.Attrs = attrs
-	c.cfg.Spans.Add(s)
-	job.spans = append(job.spans, s)
+// spanID derives the ID of the current attempt's queue wait, attempt or
+// backoff span (role "q", "a" or "b") from the job's trace, so nothing is
+// minted and a lease can name its attempt span before the span closes.
+// The root's is "<trace>.job". "" when the job is not traced.
+func (j *Job) spanID(role string) string {
+	if j.traceID == "" {
+		return ""
+	}
+	return j.traceID + "." + role + strconv.Itoa(j.attempt)
 }
 
-// endAttemptLocked closes the job's open attempt span with an outcome
-// ("commit", "error", "undecodable", "expired", "cancelled"). Caller holds
-// c.mu; no-op when no attempt span is open.
-func (c *Coordinator) endAttemptLocked(job *Job, worker, outcome string) {
-	if job.attemptSpan == "" {
-		return
+// closeSpans derives the coordinator spans ev ends from the job's previous
+// record and records them, in closing order: a grant ends the queue wait;
+// the job's next event ends the attempt that grant opened, with
+// outcome "commit", "expired", "cancelled" or "error"; a retry records its
+// backoff; a terminal event ends the root "job" span. Caller holds c.mu.
+func (c *Coordinator) closeSpans(job *Job, ev FlightEvent) {
+	at := time.UnixMicro(ev.AtUS)
+	n := strconv.Itoa(job.attempt)
+	span := func(role, name string, start, end time.Time, attrs map[string]string) {
+		id, parent := job.spec.SpanID, "" // the root's ID rides the spec
+		if role != "job" {
+			id, parent = job.spanID(role), job.spec.SpanID
+		}
+		s := telemetry.SpanBetween(job.traceID, id, parent, "coordinator", name, start, end)
+		s.Attrs = attrs
+		c.cfg.Spans.Add(s)
+		job.spans = append(job.spans, s)
 	}
-	attrs := map[string]string{
-		"attempt": strconv.Itoa(job.attempt),
-		"outcome": outcome,
+	attempt := func(outcome string) {
+		if job.last.Kind == "lease.grant" {
+			attrs := map[string]string{"attempt": n, "outcome": outcome}
+			if job.worker != "" {
+				attrs["worker"] = job.worker
+			}
+			span("a", "attempt", time.UnixMicro(job.last.AtUS), at, attrs)
+		}
 	}
-	if worker != "" {
-		attrs["worker"] = worker
+	switch ev.Kind {
+	case "lease.grant":
+		// The wait runs from submission, or from the end of the backoff.
+		start := job.submitted
+		if !job.notBefore.IsZero() {
+			start = job.notBefore
+		}
+		span("q", "queue.wait", start, at, map[string]string{"attempt": n})
+	case "lease.expire":
+		attempt("expired")
+	case "commit":
+		attempt("commit")
+	case "cancel":
+		attempt("cancelled")
+	case "fail":
+		attempt("error")
+	case "backoff":
+		attempt("error")
+		// The backoff sleep is a first-class span: in the waterfall it
+		// separates "waiting by policy" from "waiting for a free worker"
+		// (the queue.wait segment that follows).
+		span("b", "backoff", at, job.notBefore, map[string]string{"attempt": n, "reason": job.errMsg})
 	}
-	c.spanLocked(job, job.attemptSpan, job.rootSpan, "attempt", job.attemptStart, time.Now(), attrs)
-	job.attemptSpan = ""
+	if st, ok := terminalKinds[ev.Kind]; ok {
+		attrs := map[string]string{"state": string(st), "attempts": n, "retries": strconv.Itoa(job.retries)}
+		if job.cacheHit {
+			attrs["cacheHit"] = "true"
+		}
+		// The root "job" span deliberately has no spanBucket case: it covers
+		// the whole lifetime and would paint over its children, so the
+		// waterfall uses it for the time extent only.
+		//hwgc:allow wire root job span is classified as slot 0 (undrawn) by design
+		span("job", "job", job.submitted, at, attrs)
+	}
 }
 
-// dropLeaseLocked removes a lease from the global and per-worker tables.
-// Caller holds c.mu.
+// workerOf returns the registered worker with this ID, or — for one that
+// has expired — a stand-in named by the ID, so attribution never fails.
+func (c *Coordinator) workerOf(id string) *workerState {
+	if w, ok := c.workers[id]; ok {
+		return w
+	}
+	return &workerState{id: id, name: id}
+}
+
+// dropLeaseLocked removes a lease from its job and from the global and
+// per-worker tables. Caller holds c.mu.
 func (c *Coordinator) dropLeaseLocked(l *lease) {
+	l.job.lease = nil
 	delete(c.leases, l.id)
 	if w, ok := c.workers[l.workerID]; ok {
 		delete(w.leases, l.id)
 	}
 }
 
-// removePendingLocked pulls a job out of the pending queue if present.
-// Caller holds c.mu.
-func (c *Coordinator) removePendingLocked(job *Job) {
+// detachLocked takes an open job off the dispatch plane: it drops the
+// job's lease, or pulls it out of the pending queue. Caller holds c.mu.
+func (c *Coordinator) detachLocked(job *Job) {
+	if job.lease != nil {
+		c.dropLeaseLocked(job.lease)
+		return
+	}
 	for i, p := range c.pending {
 		if p == job {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
@@ -896,17 +915,8 @@ func (c *Coordinator) Cancel(jobID string, reason string) {
 // cancelLocked terminates an open job, dropping its queue entry or lease.
 // Caller holds c.mu.
 func (c *Coordinator) cancelLocked(job *Job, reason string) {
-	c.removePendingLocked(job)
-	for _, l := range c.leases {
-		if l.job == job {
-			c.dropLeaseLocked(l)
-			break
-		}
-	}
-	c.endAttemptLocked(job, job.worker, "cancelled")
-	c.flight.Record(FlightEvent{Kind: "cancel", JobID: job.spec.ID, TraceID: job.traceID,
-		Attempt: job.attempt, Detail: reason})
-	c.finishLocked(job, JobCancelled, reason)
+	c.detachLocked(job)
+	c.transition(job, "cancel", nil, "", reason)
 }
 
 // janitor expires stale leases (re-queue with backoff), silent workers
@@ -946,24 +956,17 @@ func (c *Coordinator) sweep() {
 			continue
 		}
 		delete(c.workers, id)
-		c.workersExpired++
 		for key, owner := range c.affinity {
 			if owner == id {
 				delete(c.affinity, key)
 			}
 		}
-		c.flight.Record(FlightEvent{Kind: "worker.expire", WorkerID: id,
-			Detail: fmt.Sprintf("%s silent %s, releasing %d leases", w.name, c.cfg.WorkerExpiry, len(w.leases))})
-		c.logw("worker expired", "worker", id, "name", w.name,
-			"silence", c.cfg.WorkerExpiry.String(), "leases", len(w.leases))
+		c.transition(nil, "worker.expire", w,
+			"", fmt.Sprintf("%s silent %s, releasing %d leases", w.name, c.cfg.WorkerExpiry, len(w.leases)))
 		for _, l := range w.leases {
-			delete(c.leases, l.id)
-			c.leasesExpired++
+			c.dropLeaseLocked(l)
 			w.expired++
-			c.flight.Record(FlightEvent{Kind: "lease.expire", JobID: l.job.spec.ID,
-				TraceID: l.job.traceID, WorkerID: l.workerID, LeaseID: l.id,
-				Attempt: l.job.attempt, Detail: "worker expired"})
-			c.endAttemptLocked(l.job, w.name, "expired")
+			c.transition(l.job, "lease.expire", w, l.id, "worker expired")
 			c.retryLocked(l.job, fmt.Sprintf("worker %s expired", w.name))
 		}
 	}
@@ -972,16 +975,9 @@ func (c *Coordinator) sweep() {
 			continue
 		}
 		c.dropLeaseLocked(l)
-		c.leasesExpired++
-		worker := ""
-		if w, ok := c.workers[l.workerID]; ok {
-			w.expired++
-			worker = w.name
-		}
-		c.flight.Record(FlightEvent{Kind: "lease.expire", JobID: l.job.spec.ID,
-			TraceID: l.job.traceID, WorkerID: l.workerID, LeaseID: l.id,
-			Attempt: l.job.attempt, Detail: "lease TTL elapsed"})
-		c.endAttemptLocked(l.job, worker, "expired")
+		w := c.workerOf(l.workerID)
+		w.expired++
+		c.transition(l.job, "lease.expire", w, l.id, "lease TTL elapsed")
 		c.retryLocked(l.job, fmt.Sprintf("lease %s expired", l.id))
 	}
 	if c.cfg.JobTimeout > 0 {
@@ -1096,11 +1092,5 @@ func (c *Coordinator) Dispatch(ctx context.Context, spec JobSpec, beat *telemetr
 		return res, fmt.Errorf("cluster: job %s cancelled: %s", job.ID(), res.Err)
 	default:
 		return res, fmt.Errorf("cluster: job %s failed: %s", job.ID(), res.Err)
-	}
-}
-
-func (c *Coordinator) logw(msg string, args ...any) {
-	if c.cfg.Log != nil {
-		c.cfg.Log.Info(msg, args...)
 	}
 }

@@ -13,12 +13,12 @@ package cluster
 // happened to the cluster", so the ring drops the oldest events and counts
 // them in Dropped.
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// FlightEvent is one structured control-plane moment.
+// FlightEvent is one structured control-plane moment. It is also the
+// coordinator's lifecycle record: each job state change stamps exactly one
+// (Coordinator.transition), and the ring, the counters, the logs and the
+// job's spans are all fed from it.
 type FlightEvent struct {
 	// Seq is a recorder-unique, monotonically increasing sequence number;
 	// it survives ring wrap, so consumers can detect gaps (Dropped events).
@@ -66,8 +66,8 @@ func NewFlightRecorder(max int) *FlightRecorder {
 	return &FlightRecorder{ring: make([]FlightEvent, max)}
 }
 
-// Record appends one event, stamping Seq and AtUS; once the ring is full
-// the oldest event is overwritten and counted in Dropped. Nil-safe.
+// Record appends one event, stamping Seq; once the ring is full the oldest
+// event is overwritten and counted in Dropped. Nil-safe.
 func (f *FlightRecorder) Record(ev FlightEvent) {
 	if f == nil {
 		return
@@ -75,9 +75,6 @@ func (f *FlightRecorder) Record(ev FlightEvent) {
 	f.mu.Lock()
 	f.seq++
 	ev.Seq = f.seq
-	if ev.AtUS == 0 {
-		ev.AtUS = time.Now().UnixMicro()
-	}
 	if f.size == len(f.ring) {
 		f.dropped++
 	} else {

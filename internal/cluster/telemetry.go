@@ -17,10 +17,46 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"hwgc/internal/telemetry"
 )
+
+// counterCatalogue is the coordinator's one list of aggregate counters:
+// each one's registry and Prometheus name, its Status field (nil when the
+// counter is registry-only), and the transition kinds it sums. Two keys
+// refine a kind without a flight record of their own: "affinity.local"
+// (a grant of a job whose images the worker already owns) and
+// "commit.cachehit" (a commit served from the worker's local cache).
+var counterCatalogue = []struct {
+	metric string
+	field  func(*Status) *uint64
+	kinds  []string
+}{
+	{"cluster.jobs.submitted", func(s *Status) *uint64 { return &s.Submitted }, []string{"submit"}},
+	{"cluster.jobs.completed", func(s *Status) *uint64 { return &s.Completed }, []string{"commit", "cache.hit"}},
+	{"cluster.jobs.failed", func(s *Status) *uint64 { return &s.Failed }, []string{"fail"}},
+	{"cluster.jobs.cancelled", func(s *Status) *uint64 { return &s.Cancelled }, []string{"cancel"}},
+	{"cluster.jobs.cachehits", func(s *Status) *uint64 { return &s.CacheHits }, []string{"cache.hit", "commit.cachehit"}},
+	{"cluster.jobs.retries", func(s *Status) *uint64 { return &s.Retries }, []string{"backoff"}},
+	{"cluster.jobs.duplicatedrops", func(s *Status) *uint64 { return &s.DuplicateDrop }, []string{"duplicate.drop"}},
+	{"cluster.leases.granted", func(s *Status) *uint64 { return &s.LeasesGranted }, []string{"lease.grant"}},
+	{"cluster.leases.expired", func(s *Status) *uint64 { return &s.LeasesExpired }, []string{"lease.expire"}},
+	{"cluster.affinity.local", func(s *Status) *uint64 { return &s.AffinityLocal }, []string{"affinity.local"}},
+	{"cluster.affinity.steals", func(s *Status) *uint64 { return &s.AffinitySteal }, []string{"steal"}},
+	{"cluster.workers.registered", nil, []string{"worker.register"}},
+	{"cluster.workers.expired", nil, []string{"worker.expire"}},
+}
+
+// countLocked sums the transitions of the given kinds. Caller holds c.mu.
+func (c *Coordinator) countLocked(kinds []string) uint64 {
+	var n uint64
+	for _, k := range kinds {
+		n += c.counts[k]
+	}
+	return n
+}
 
 // attachTelemetry registers the coordinator's aggregate metrics and its
 // result cache's counters. All reads take a lock (c.mu or the cache's), so
@@ -44,19 +80,9 @@ func (c *Coordinator) attachTelemetry(h *telemetry.Hub) {
 			return f()
 		}
 	}
-	reg.CounterFunc("cluster.jobs.submitted", locked(func() uint64 { return c.submitted }))
-	reg.CounterFunc("cluster.jobs.completed", locked(func() uint64 { return c.completed }))
-	reg.CounterFunc("cluster.jobs.failed", locked(func() uint64 { return c.failed }))
-	reg.CounterFunc("cluster.jobs.cancelled", locked(func() uint64 { return c.cancelled }))
-	reg.CounterFunc("cluster.jobs.cachehits", locked(func() uint64 { return c.cacheHits }))
-	reg.CounterFunc("cluster.jobs.retries", locked(func() uint64 { return c.retriesTotal }))
-	reg.CounterFunc("cluster.jobs.duplicatedrops", locked(func() uint64 { return c.duplicateDrop }))
-	reg.CounterFunc("cluster.leases.granted", locked(func() uint64 { return c.leasesGranted }))
-	reg.CounterFunc("cluster.leases.expired", locked(func() uint64 { return c.leasesExpired }))
-	reg.CounterFunc("cluster.affinity.local", locked(func() uint64 { return c.affinityLocal }))
-	reg.CounterFunc("cluster.affinity.steals", locked(func() uint64 { return c.affinitySteal }))
-	reg.CounterFunc("cluster.workers.registered", locked(func() uint64 { return c.workersRegistered }))
-	reg.CounterFunc("cluster.workers.expired", locked(func() uint64 { return c.workersExpired }))
+	for _, e := range counterCatalogue {
+		reg.CounterFunc(e.metric, locked(func() uint64 { return c.countLocked(e.kinds) }))
+	}
 	reg.Gauge("cluster.jobs.pending", gauge(func() float64 { return float64(len(c.pending)) }))
 	reg.Gauge("cluster.leases.active", gauge(func() float64 { return float64(len(c.leases)) }))
 	reg.Gauge("cluster.workers.connected", gauge(func() float64 { return float64(len(c.workers)) }))
@@ -136,22 +162,16 @@ func (c *Coordinator) Status() Status {
 	defer c.mu.Unlock()
 	now := time.Now()
 	st := Status{
-		Protocol:      ProtocolVersion,
-		Draining:      c.draining,
-		Pending:       len(c.pending),
-		ActiveLeases:  len(c.leases),
-		Submitted:     c.submitted,
-		Completed:     c.completed,
-		Failed:        c.failed,
-		Cancelled:     c.cancelled,
-		CacheHits:     c.cacheHits,
-		Retries:       c.retriesTotal,
-		DuplicateDrop: c.duplicateDrop,
-		LeasesGranted: c.leasesGranted,
-		LeasesExpired: c.leasesExpired,
-		AffinityLocal: c.affinityLocal,
-		AffinitySteal: c.affinitySteal,
-		Workers:       make([]WorkerStatus, 0, len(c.workers)),
+		Protocol:     ProtocolVersion,
+		Draining:     c.draining,
+		Pending:      len(c.pending),
+		ActiveLeases: len(c.leases),
+		Workers:      make([]WorkerStatus, 0, len(c.workers)),
+	}
+	for _, e := range counterCatalogue {
+		if e.field != nil {
+			*e.field(&st) = c.countLocked(e.kinds)
+		}
 	}
 	for _, w := range c.workers {
 		st.Workers = append(st.Workers, WorkerStatus{
@@ -224,48 +244,36 @@ func (c *Coordinator) writeWorkerFamilies(w io.Writer, st Status) error {
 // counters, and the per-worker labeled series. Output is deterministic.
 func (c *Coordinator) WriteClusterPrometheus(w io.Writer) error {
 	st := c.Status()
-	var sumCompleted, sumFailed, sumExpired, sumStolen, sumHeld float64
-	for _, ws := range st.Workers {
-		sumCompleted += float64(ws.Completed)
-		sumFailed += float64(ws.Failed)
-		sumExpired += float64(ws.Expired)
-		sumStolen += float64(ws.Stolen)
-		sumHeld += float64(ws.Leases)
-	}
-	agg := []struct {
-		name, typ string
-		v         float64
-	}{
-		{"cluster.jobs.submitted", "counter", float64(st.Submitted)},
-		{"cluster.jobs.completed", "counter", float64(st.Completed)},
-		{"cluster.jobs.failed", "counter", float64(st.Failed)},
-		{"cluster.jobs.cancelled", "counter", float64(st.Cancelled)},
-		{"cluster.jobs.cachehits", "counter", float64(st.CacheHits)},
-		{"cluster.jobs.retries", "counter", float64(st.Retries)},
-		{"cluster.jobs.duplicatedrops", "counter", float64(st.DuplicateDrop)},
-		{"cluster.leases.granted", "counter", float64(st.LeasesGranted)},
-		{"cluster.leases.expired", "counter", float64(st.LeasesExpired)},
-		{"cluster.affinity.local", "counter", float64(st.AffinityLocal)},
-		{"cluster.affinity.steals", "counter", float64(st.AffinitySteal)},
-		{"cluster.jobs.pending", "gauge", float64(st.Pending)},
-		{"cluster.leases.active", "gauge", float64(st.ActiveLeases)},
-		{"cluster.workers.connected", "gauge", float64(len(st.Workers))},
-		{"cluster.fleet.completed", "counter", sumCompleted},
-		{"cluster.fleet.failed", "counter", sumFailed},
-		{"cluster.fleet.leases.expired", "counter", sumExpired},
-		{"cluster.fleet.leases.stolen", "counter", sumStolen},
-		{"cluster.fleet.leases.held", "gauge", sumHeld},
-		{"cluster.trace.spans", "gauge", float64(st.Spans)},
-		{"cluster.trace.spans.dropped", "counter", float64(st.SpansDropped)},
-		{"cluster.flight.events", "gauge", float64(st.FlightEvents)},
-		{"cluster.flight.events.dropped", "counter", float64(st.FlightDropped)},
-	}
-	for _, a := range agg {
-		pn := telemetry.PrometheusName(a.name)
-		if _, err := fmt.Fprintf(w, "# HELP %s cluster-wide metric %s\n# TYPE %s %s\n%s %s\n",
-			pn, a.name, pn, a.typ, pn, strconv.FormatFloat(a.v, 'g', -1, 64)); err != nil {
-			return err
+	var err error
+	put := func(name, typ string, v float64) {
+		if err == nil {
+			pn := telemetry.PrometheusName(name)
+			_, err = fmt.Fprintf(w, "# HELP %s cluster-wide metric %s\n# TYPE %s %s\n%s %s\n",
+				pn, name, pn, typ, pn, strconv.FormatFloat(v, 'g', -1, 64))
 		}
+	}
+	for _, e := range counterCatalogue {
+		if e.field != nil {
+			put(e.metric, "counter", float64(*e.field(&st)))
+		}
+	}
+	put("cluster.jobs.pending", "gauge", float64(st.Pending))
+	put("cluster.leases.active", "gauge", float64(st.ActiveLeases))
+	put("cluster.workers.connected", "gauge", float64(len(st.Workers)))
+	// Fleet-wide sums of the per-worker families.
+	for _, fam := range perWorkerFamilies {
+		sum := 0.0
+		for _, ws := range st.Workers {
+			sum += fam.value(ws)
+		}
+		put(strings.Replace(fam.name, ".worker.", ".fleet.", 1), fam.typ, sum)
+	}
+	put("cluster.trace.spans", "gauge", float64(st.Spans))
+	put("cluster.trace.spans.dropped", "counter", float64(st.SpansDropped))
+	put("cluster.flight.events", "gauge", float64(st.FlightEvents))
+	put("cluster.flight.events.dropped", "counter", float64(st.FlightDropped))
+	if err != nil {
+		return err
 	}
 	return c.writeWorkerFamilies(w, st)
 }

@@ -83,7 +83,6 @@ type WallSpans struct {
 	spans    []Span
 	dropped  uint64
 	seqTrace uint64
-	seqSpan  uint64
 }
 
 // NewWallSpans returns an enabled recorder with the default bound.
@@ -107,18 +106,6 @@ func (r *WallSpans) NewTraceID() string {
 	n := r.seqTrace
 	r.mu.Unlock()
 	return fmt.Sprintf("t-%06d", n)
-}
-
-// NewSpanID mints a recorder-unique span identifier ("" on nil).
-func (r *WallSpans) NewSpanID() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	r.seqSpan++
-	n := r.seqSpan
-	r.mu.Unlock()
-	return fmt.Sprintf("s-%06d", n)
 }
 
 // Add records one completed span. Once the bound is reached the earliest
