@@ -250,11 +250,10 @@ type DDR3 struct {
 	busy     uint64
 
 	// Completions are FIFO — access() returns strictly increasing finish
-	// cycles — so issued requests park their Done callbacks in a ring
+	// cycles — so issued requests park their Done callbacks in a queue
 	// drained by one pre-bound event function instead of allocating a
 	// closure per request.
-	comps      []completion
-	compHead   int
+	comps      *sim.Queue[completion]
 	completeFn func()
 	wakeFn     func()
 
@@ -276,17 +275,11 @@ type completion struct {
 
 // NewDDR3 returns an event-driven DDR3 model attached to eng.
 func NewDDR3(eng *sim.Engine, cfg Config) *DDR3 {
-	d := &DDR3{eng: eng, cfg: cfg, t: newTiming(cfg)}
+	d := &DDR3{eng: eng, cfg: cfg, t: newTiming(cfg), comps: sim.NewQueue[completion](0)}
 	d.tick = sim.NewTicker(eng, d.step)
 	d.wakeFn = d.tick.Wake
 	d.completeFn = func() {
-		c := d.comps[d.compHead]
-		d.comps[d.compHead] = completion{} // release the Done closure
-		d.compHead++
-		if d.compHead == len(d.comps) {
-			d.comps = d.comps[:0]
-			d.compHead = 0
-		}
+		c, _ := d.comps.Pop()
 		d.inflight--
 		if c.done != nil {
 			c.done(c.finish)
@@ -378,7 +371,7 @@ func (d *DDR3) step() bool {
 		d.lastBusy = finish
 	}
 	d.inflight++
-	d.comps = append(d.comps, completion{finish: finish, done: p.req.Done})
+	d.comps.Push(completion{finish: finish, done: p.req.Done})
 	d.eng.At(finish, d.completeFn)
 	if d.onSpace != nil {
 		d.eng.After(1, d.onSpace)
@@ -447,7 +440,7 @@ func (d *DDR3) Pending() int { return len(d.pending) }
 
 // Pipe is the ideal memory from Figure 17: fixed latency and a pure
 // bandwidth limit, no banks. Like DDR3, completions are FIFO (finish
-// cycles are strictly increasing), so Done callbacks park in a ring
+// cycles are strictly increasing), so Done callbacks park in a queue
 // drained by one pre-bound event function.
 type Pipe struct {
 	eng           *sim.Engine
@@ -457,23 +450,17 @@ type Pipe struct {
 	onSpace       func()
 	stats         Stats
 
-	comps      []completion
-	compHead   int
+	comps      *sim.Queue[completion]
 	completeFn func()
 }
 
 // NewPipe returns a latency-bandwidth pipe (the paper uses 1 cycle and
 // 8 GB/s, i.e. 8 bytes per cycle at 1 GHz).
 func NewPipe(eng *sim.Engine, latency, bytesPerCycle uint64) *Pipe {
-	p := &Pipe{eng: eng, Latency: latency, BytesPerCycle: bytesPerCycle}
+	p := &Pipe{eng: eng, Latency: latency, BytesPerCycle: bytesPerCycle,
+		comps: sim.NewQueue[completion](0)}
 	p.completeFn = func() {
-		c := p.comps[p.compHead]
-		p.comps[p.compHead] = completion{}
-		p.compHead++
-		if p.compHead == len(p.comps) {
-			p.comps = p.comps[:0]
-			p.compHead = 0
-		}
+		c, _ := p.comps.Pop()
 		c.done(c.finish)
 	}
 	return p
@@ -498,7 +485,7 @@ func (p *Pipe) Enqueue(r Request) bool {
 	p.stats.Accesses++
 	p.stats.Bytes += r.Size
 	if r.Done != nil {
-		p.comps = append(p.comps, completion{finish: finish, done: r.Done})
+		p.comps.Push(completion{finish: finish, done: r.Done})
 		p.eng.At(finish, p.completeFn)
 	}
 	return true

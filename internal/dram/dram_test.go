@@ -246,3 +246,50 @@ func TestSyncPipe(t *testing.T) {
 		t.Fatalf("second pipe access = %d, want 3", f2)
 	}
 }
+
+// TestCompletionQueueStaysAtPeakInFlight streams requests through each
+// memory model with a fixed number in flight, so the completion queue never
+// drains. Once a warm-up stream has sized it to that peak, a longer stream
+// must not grow it again: it allocates nothing.
+func TestCompletionQueueStaysAtPeakInFlight(t *testing.T) {
+	const inFlight = 8
+	for _, tc := range []struct {
+		name string
+		mem  func(*sim.Engine) Memory
+	}{
+		{"ddr3", func(eng *sim.Engine) Memory { return NewDDR3(eng, cfg()) }},
+		{"pipe", func(eng *sim.Engine) Memory { return NewPipe(eng, 1, 8) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			mem := tc.mem(eng)
+			left := 0
+			var done func(uint64)
+			issue := func(addr uint64) {
+				if !mem.Enqueue(Request{Addr: addr, Size: 64, Kind: Read, Done: done}) {
+					t.Fatal("enqueue refused below the queue depth")
+				}
+			}
+			done = func(f uint64) {
+				if left > 0 {
+					left--
+					issue(f % (1 << 20) &^ 63)
+				}
+			}
+			stream := func(n int) {
+				left = n
+				for i := 0; i < inFlight; i++ {
+					issue(uint64(i) * 64)
+				}
+				eng.Run()
+			}
+			// AllocsPerRun streams once unmeasured, then measures a stream ten
+			// times longer than any before it.
+			n := 1000
+			stream(n)
+			if allocs := testing.AllocsPerRun(1, func() { n *= 10; stream(n) }); allocs != 0 {
+				t.Fatalf("a %d-request stream allocated %.0f times: the completion queue grew past its peak", n, allocs)
+			}
+		})
+	}
+}
