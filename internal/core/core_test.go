@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"hwgc/internal/heap"
 	"hwgc/internal/rts"
 	"hwgc/internal/workload"
 )
@@ -191,5 +192,24 @@ func TestMarkFractionDominates(t *testing.T) {
 func TestCollectorKindString(t *testing.T) {
 	if SWCollector.String() != "Rocket CPU" || HWCollector.String() != "GC Unit" {
 		t.Fatal("collector names changed (experiment tables depend on them)")
+	}
+}
+
+// TestRunAppSWTIBLayout runs the software collector three times on the
+// conventional TIB layout with validation on. That layout keeps the status
+// word at +8, behind the TIB pointer, so a sweep that classified cells by
+// their first word would free live objects and the next collection would
+// chase their overwritten fields.
+func TestRunAppSWTIBLayout(t *testing.T) {
+	cfg := testConfig()
+	cfg.System.Heap.Layout = heap.TIBLayout
+	res, err := RunApp(cfg, smallSpec("avrora"), SWCollector, 3, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range res.GCs {
+		if g.Freed == 0 {
+			t.Errorf("GC %d freed nothing", i+1)
+		}
 	}
 }

@@ -136,6 +136,20 @@ func TestAblBarriers(t *testing.T) {
 	}
 }
 
+// TestAblLayoutSecondCollection runs abl-layout at two collections, so the
+// software sweep between them runs on both layouts and the second mark
+// reads the heap that sweep left.
+func TestAblLayoutSecondCollection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	o := QuickOptions()
+	o.GCs, o.Shrink = 2, 4
+	if _, err := AblLayout(o); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAblLayoutQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")

@@ -79,7 +79,7 @@ func (s *System) CheckSweep() error {
 		}
 		for i := 0; i < b.Cells; i++ {
 			cell := b.Base + uint64(i)*b.CellSize
-			w := s.Heap.Load(cell)
+			w := s.Heap.Load(s.Heap.StatusAddr(cell))
 			switch {
 			case heap.IsObject(w) && reach[cell]:
 				if onFreeList[cell] {

@@ -198,21 +198,29 @@ func (g *Collector) sweep(res *Result) {
 		live := uint64(0)
 		for i := 0; i < b.Cells; i++ {
 			cell := b.Base + uint64(i)*b.CellSize
-			g.cpu.Access(cell, 8, dram.Read)
+			status := h.StatusAddr(cell)
+			g.cpu.Access(status, 8, dram.Read)
 			g.cpu.Compute(2) // classify cell
-			w := h.Load(cell)
+			w := h.Load(status)
 			if heap.IsObject(w) && h.IsMarkedStatus(w) {
 				live++
 				continue
-			}
-			if heap.IsObject(w) {
-				res.FreedCells++
 			}
 			// Dead object or already-free cell: link into the
 			// (rebuilt) free list, head-first.
 			h.Store(cell, freeHead)
 			g.cpu.Access(cell, 8, dram.Write)
 			freeHead = cell
+			if heap.IsObject(w) {
+				res.FreedCells++
+				if status != cell {
+					// The TIB layout keeps the status word apart from the
+					// link word: clear it, or the free cell still reads
+					// as an object.
+					h.Store(status, 0)
+					g.cpu.Access(status, 8, dram.Write)
+				}
+			}
 		}
 		res.LiveCells += live
 		h.Store(entry+16, freeHead)
