@@ -1,8 +1,10 @@
 #!/bin/sh
 # Allocation-regression sentinel: runs the quick experiment suite, one
 # hardware mark phase and the per-cell image-construction micro-benchmarks
-# once (-benchtime=1x) with
-# -benchmem and compares allocs/op against the checked-in budgets in
+# once (-benchtime=1x), and the zero-budget micro-benchmarks 10000 times
+# (one stray allocation elsewhere in the process then rounds to 0 allocs/op,
+# while a real per-operation allocation still reads >= 1), with -benchmem,
+# and compares allocs/op against the checked-in budgets in
 # scripts/alloc_budget.txt. A benchmark more than 15% over budget fails the
 # gate — that is how the fleet's allocation discipline stays held after the
 # 638M -> 16M allocs/op overhaul (see docs/PERFORMANCE.md).
@@ -17,10 +19,14 @@ budget="scripts/alloc_budget.txt"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "== allocation sentinel: quick suite, mark phase + image, cluster, service, telemetry and TLB micro-benchmarks (1 iteration)"
+echo "== allocation sentinel: quick suite, mark phase + image, cluster, service and telemetry benchmarks (1 iteration)"
 go test -run '^$' \
-    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkUnitMarkPhase$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkServiceCacheHit$|BenchmarkWallSpanOff$|BenchmarkTelemetryMetrics$|BenchmarkTLBInsertFull$|BenchmarkTLBLookupHit$' \
-    -benchmem -benchtime=1x . ./internal/cluster/ ./internal/service/ ./internal/telemetry/ ./internal/vmem/ | tee "$raw"
+    -bench 'BenchmarkHostFullSuiteSerial$|BenchmarkUnitMarkPhase$|BenchmarkHostColdBuild$|BenchmarkHostSnapshotClone$|BenchmarkClusterLoopbackDispatch$|BenchmarkServiceCacheHit$|BenchmarkTelemetryMetrics$' \
+    -benchmem -benchtime=1x . ./internal/cluster/ ./internal/service/ ./internal/telemetry/ | tee "$raw"
+echo "== allocation sentinel: zero-budget micro-benchmarks (10000 iterations)"
+go test -run '^$' \
+    -bench 'BenchmarkWallSpanOff$|BenchmarkTLBInsertFull$|BenchmarkTLBLookupHit$' \
+    -benchmem -benchtime=10000x ./internal/telemetry/ ./internal/vmem/ | tee -a "$raw"
 
 if [ "${1:-}" = "-update" ]; then
     # Only the numbers change: comment lines and the benchmark order stay;
